@@ -3,10 +3,13 @@
 First-digit probabilities generalize to any base as log_b(1 + 1/d). The
 joint law over the first k decimal digits is log10(1 + 1/m), with m the
 integer spelled by the digits; marginals, moments, distances to uniform,
-and inter-digit correlations all derive from it by exact summation.
+and inter-digit correlations all derive from it.
 
-Sums run through compensated accumulation (math.fsum over vectorized
-chunks), so the 12-digit reference values hold in ordinary doubles.
+Position-k marginals are that law summed over prefixes, telescoped into
+lnGamma differences and evaluated at extended precision (Hill, "The
+Significant-Digit Phenomenon", Amer. Math. Monthly 102, 1995).
+Correlations enumerate the joint support and sum it with compensated
+accumulation (math.fsum).
 """
 
 from __future__ import annotations
@@ -16,32 +19,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import mpmath
 import numpy as np
 
 from .errors import DomainError
 
-# Exact enumeration over position-k prefixes costs ~9 * 10**(k-1) terms;
-# 8 keeps that at desk scale.
-MAX_POSITION = 8
+# Deepest position with a marginal: the deepest that digit extraction
+# supports (significand.MAX_EXTRACT_DIGITS).
+MAX_POSITION = 18
 # Correlations enumerate the full joint support 9 * 10**(j-1).
 MAX_CORRELATION_POSITION = 5
 
 _LN10 = math.log(10.0)
-_CHUNK = 1 << 18
-
-
-def _fsum_chunks(parts: list[float]) -> float:
-    return math.fsum(parts)
-
-
-def _sum_log10_reciprocal(lo: int, hi: int, offset: int, stride: int) -> float:
-    """Compensated sum of log10(1 + 1/(stride*m + offset)) for m in [lo, hi)."""
-    parts = []
-    for start in range(lo, hi, _CHUNK):
-        m = np.arange(start, min(start + _CHUNK, hi), dtype=np.float64)
-        terms = np.log1p(1.0 / (stride * m + offset))
-        parts.append(math.fsum(terms.tolist()))
-    return _fsum_chunks(parts) / _LN10
 
 
 @dataclass(frozen=True)
@@ -102,20 +91,35 @@ def _check_position(k: int) -> None:
         raise DomainError(f"position must lie in [1, {MAX_POSITION}], got {k}")
 
 
+def _closed_form(k: int) -> tuple[tuple[float, ...], float]:
+    """P_k(d), d = 0..9, and its distance to uniform, for k >= 2.
+
+    Over the prefixes m in [lo, hi), lo = 10**(k-2) and hi = 10**(k-1), the
+    product of (10m + d + 1) / (10m + d) telescopes to Gamma ratios, so with
+    g(x) = lnG(hi + x) - lnG(lo + x), P_k(d) = [g((d+1)/10) - g(d/10)] / ln 10.
+    The terms nearly cancel and P_k(d) - 1/10 shrinks like 10**-k, so both
+    results are rounded to doubles only at the end.
+    """
+    lo, hi = 10 ** (k - 2), 10 ** (k - 1)
+    with mpmath.workdps(20 + 2 * k):
+        xs = [mpmath.mpf(n) / 10 for n in range(11)]
+        g = [mpmath.loggamma(hi + x) - mpmath.loggamma(lo + x) for x in xs]
+        probs = [(g[d + 1] - g[d]) / mpmath.ln10 for d in range(10)]
+        tvd = mpmath.fsum(abs(p - mpmath.mpf(1) / 10) for p in probs) / 2
+        return tuple(float(p) for p in probs), float(tvd)
+
+
 @lru_cache(maxsize=None)
 def marginal_distribution(k: int) -> DigitDistribution:
     """Distribution of the k-th significant decimal digit.
 
-    Position 1 is the first-digit law itself; deeper positions sum the
-    joint law over every (k-1)-digit prefix.
+    Position 1 is the first-digit law itself; deeper positions come from
+    the closed form in lnGamma differences.
     """
     _check_position(k)
     if k == 1:
         return first_digit_distribution(10)
-    lo, hi = 10 ** (k - 2), 10 ** (k - 1)
-    support = tuple(range(10))
-    probs = tuple(_sum_log10_reciprocal(lo, hi, offset=d, stride=10) for d in support)
-    return DigitDistribution(position=k, support=support, probabilities=probs)
+    return DigitDistribution(k, tuple(range(10)), _closed_form(k)[0])
 
 
 def moments(k: int) -> tuple[float, float]:
@@ -132,9 +136,11 @@ def tvd_from_uniform(k: int) -> float:
     The uniform reference is 1/9 on {1..9} at position 1 and 1/10 on
     {0..9} deeper in; convergence to uniform is geometric in k.
     """
-    dist = marginal_distribution(k)
-    u = 1.0 / len(dist.support)
-    return 0.5 * math.fsum(abs(p - u) for p in dist.probabilities)
+    _check_position(k)
+    if k == 1:
+        probs = first_digit_distribution(10).probabilities
+        return 0.5 * math.fsum(abs(p - 1.0 / 9) for p in probs)
+    return _closed_form(k)[1]
 
 
 @lru_cache(maxsize=None)
@@ -146,23 +152,15 @@ def digit_correlation(i: int, j: int) -> float:
         raise DomainError(
             f"position j must lie in [2, {MAX_CORRELATION_POSITION}], got {j}"
         )
-    lo, hi = 10 ** (j - 1), 10**j
-    parts: dict[str, list[float]] = {n: [] for n in ("i", "j", "ii", "jj", "ij")}
-    for start in range(lo, hi, _CHUNK):
-        m = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        p = np.log1p(1.0 / m) / _LN10
-        di = ((m // 10 ** (j - i)) % 10).astype(np.float64)
-        dj = (m % 10).astype(np.float64)
-        parts["i"].append(math.fsum((p * di).tolist()))
-        parts["j"].append(math.fsum((p * dj).tolist()))
-        parts["ii"].append(math.fsum((p * di * di).tolist()))
-        parts["jj"].append(math.fsum((p * dj * dj).tolist()))
-        parts["ij"].append(math.fsum((p * di * dj).tolist()))
-    e_i = _fsum_chunks(parts["i"])
-    e_j = _fsum_chunks(parts["j"])
-    e_ii = _fsum_chunks(parts["ii"])
-    e_jj = _fsum_chunks(parts["jj"])
-    e_ij = _fsum_chunks(parts["ij"])
+    m = np.arange(10 ** (j - 1), 10**j, dtype=np.int64)
+    p = np.log1p(1.0 / m) / _LN10
+    di = ((m // 10 ** (j - i)) % 10).astype(np.float64)
+    dj = (m % 10).astype(np.float64)
+    e_i = math.fsum((p * di).tolist())
+    e_j = math.fsum((p * dj).tolist())
+    e_ii = math.fsum((p * di * di).tolist())
+    e_jj = math.fsum((p * dj * dj).tolist())
+    e_ij = math.fsum((p * di * dj).tolist())
     cov = e_ij - e_i * e_j
     var_i = e_ii - e_i * e_i
     var_j = e_jj - e_j * e_j

@@ -177,14 +177,16 @@ def _integer_log(num: int, den: int, base: int) -> int:
 
     A floating-point estimate seeds the search; the exact comparisons then
     correct it, so the result is right even when num/den sits on or next to
-    a power of the base.
+    a power of the base. A negative power moves to the other side of the
+    comparison, so every comparison stays in integers (base**-n is a float).
     """
     e = int(math.floor((math.log(num) - math.log(den)) / math.log(base)))
-    while base**e * den > num:
+    while (base**e * den > num) if e >= 0 else (den > num * base**-e):
         e -= 1
-    while base ** (e + 1) * den <= num:
+    e += 1
+    while (base**e * den <= num) if e >= 0 else (den <= num * base**-e):
         e += 1
-    return e
+    return e - 1
 
 
 def extract_digits_rational(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,10 +106,20 @@ class TestMarginal:
         oracle = math.fsum(math.log10(1 + 1 / (10 * d)) for d in range(1, 10))
         assert marginal_distribution(2).prob(0) == pytest.approx(oracle, abs=1e-14)
 
-    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("k", range(1, MAX_POSITION + 1))
     def test_sums_to_one(self, k):
         total = math.fsum(marginal_distribution(k).probabilities)
         assert abs(total - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_closed_form_against_direct_enumeration(self, k):
+        # P_k(d) is the joint law log10(1 + 1/(10m + d)) summed over every
+        # (k-1)-digit prefix m; log1p keeps each term's low digits.
+        prefixes = range(10 ** (k - 2), 10 ** (k - 1))
+        dist = marginal_distribution(k)
+        for d in range(10):
+            direct = math.fsum(math.log1p(1 / (10 * m + d)) for m in prefixes)
+            assert abs(dist.prob(d) - direct / math.log(10)) <= 1e-16
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -150,6 +161,35 @@ class TestMoments:
         got_mean, got_var = moments(k)
         assert abs(got_mean - mean) < 1e-12
         assert abs(got_var - var) < 1e-12
+
+
+def _law_60_digits(k):
+    """Position-k marginal, its mean, variance and distance to uniform, at 60
+    digits from the four-lnGamma form of the closed-form law."""
+    lo, hi = 10 ** (k - 2), 10 ** (k - 1)
+    with mpmath.workdps(60):
+        g = mpmath.loggamma
+        probs = [
+            (g(hi + b) - g(lo + b) - g(hi + a) + g(lo + a)) / mpmath.log(10)
+            for a, b in ((mpmath.mpf(d) / 10, mpmath.mpf(d + 1) / 10) for d in range(10))
+        ]
+        mean = mpmath.fsum(d * p for d, p in enumerate(probs))
+        var = mpmath.fsum(d * d * p for d, p in enumerate(probs)) - mean**2
+        tvd = mpmath.fsum(abs(p - mpmath.mpf(1) / 10) for p in probs) / 2
+        return [float(p) for p in probs], float(mean), float(var), float(tvd)
+
+
+class TestDeepPositionsAgainst60Digits:
+    # Past k = 8 every P_k(d) is within 1e-8 of 1/10, so the distance to
+    # uniform must be taken before the probabilities are rounded to doubles.
+    @pytest.mark.parametrize("k", range(2, MAX_POSITION + 1))
+    def test_marginal_moments_and_tvd(self, k):
+        probs, mean, var, tvd = _law_60_digits(k)
+        assert marginal_distribution(k).probabilities == tuple(probs)
+        got_mean, got_var = moments(k)
+        assert got_mean == pytest.approx(mean, rel=1e-13, abs=0)
+        assert got_var == pytest.approx(var, rel=1e-13, abs=0)
+        assert tvd_from_uniform(k) == pytest.approx(tvd, rel=1e-13, abs=0)
 
 
 class TestTvdFromUniform:

@@ -136,6 +136,27 @@ class TestAnalyzeCommand:
         assert doc["chi_square"] is None
         assert doc["meta"]["position"] == 2
 
+    def test_negative_powers_of_ten_count(self, tmp_path, capsys):
+        # Exact negative powers of ten, some below the smallest double, all
+        # lead with 1.
+        data = tmp_path / "powers.txt"
+        data.write_text(" ".join(f"1e-{n} 1.00E-{n}" for n in range(1, 401)) + " 2.5e-350")
+        code = cli.main(["analyze", str(data), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        assert doc["counts"] == [800, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    def test_deep_position_has_expected_marginal(self, tmp_path, capsys):
+        data = tmp_path / "vals.txt"
+        data.write_text("123456789 987654321.5 1.0000000005")
+        code = cli.main(["analyze", str(data), "--position", "9", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["counts"] == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert doc["expected"] == [
+            report.round12(p) for p in law.marginal_distribution(9).probabilities
+        ]
+
     def test_level_switches_threshold(self, tmp_path, capsys):
         # Engineer a census with chi-square between the two critical values.
         counts = {1: 51, 2: 38, 3: 17, 4: 12, 5: 16, 6: 20, 7: 18, 8: 5, 9: 9}

@@ -146,6 +146,21 @@ class TestExtractDigits:
                 assert sig.exponent == 0
 
 
+class TestNegativePowers:
+    # base**e is a float for negative e, so exact powers of ten sit on a
+    # rounding edge and values below the smallest double overflow unless the
+    # integer log compares in integers.
+    @pytest.mark.parametrize("spelling", ["1e-{}", "1.0e-{}", "1.00E-{}"])
+    def test_exact_negative_powers_of_ten(self, spelling):
+        for n in range(1, 401):
+            sig = extract_digits(parse_token(spelling.format(n)), 3, 10)
+            assert (sig.digits, sig.exponent) == ((1, 0, 0), -n)
+
+    def test_below_smallest_double(self):
+        sig = extract_digits(parse_token("2.5e-350"), 2, 10)
+        assert (sig.digits, sig.exponent) == ((2, 5), -350)
+
+
 class TestExtractBigint:
     def test_examples(self):
         assert extract_digits_bigint(1024, 2, 10).digits == (1, 0)
