@@ -70,6 +70,7 @@ from .sequences import (
 from .significand import (
     ExactDecimal,
     SignificantDigits,
+    digit_at,
     extract_digits,
     extract_digits_bigint,
     extract_digits_rational,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
-from .significand import ExactDecimal, extract_digits, parse_token
+from .significand import ExactDecimal, digit_at, parse_token
 
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
@@ -121,6 +121,28 @@ def _coerce(value: Value, separators: bool) -> ExactDecimal:
     return ExactDecimal.from_float(value)
 
 
+def count_digits(
+    values: Iterable[ExactDecimal], position: int = 1, base: int = 10
+) -> DigitCensus:
+    """Census of the ``position``-th significant digit of exact values.
+
+    The counting loop every value census goes through: zero values have
+    no significant digit and land in the exclusions tally.
+    """
+    support = digit_support(position, base)
+    offset = support[0]
+    counts = [0] * len(support)
+    exclusions = 0
+    for value in values:
+        try:
+            digit = digit_at(value, position, base)
+        except ZeroValue:
+            exclusions += 1
+            continue
+        counts[digit - offset] += 1
+    return DigitCensus(position, base, tuple(counts), exclusions)
+
+
 def build_census(
     values: Iterable[Value],
     position: int = 1,
@@ -134,18 +156,7 @@ def build_census(
     have no significant digit and land in the exclusions tally. An empty
     stream yields an empty census (statistics on it raise EmptyCensus).
     """
-    support = digit_support(position, base)
-    offset = support[0]
-    counts = [0] * len(support)
-    exclusions = 0
-    for value in values:
-        try:
-            sig = extract_digits(_coerce(value, separators), position, base)
-        except ZeroValue:
-            exclusions += 1
-            continue
-        counts[sig.digits[position - 1] - offset] += 1
-    return DigitCensus(position, base, tuple(counts), exclusions)
+    return count_digits((_coerce(v, separators) for v in values), position, base)
 
 
 def _check_testable(census: DigitCensus) -> np.ndarray:

@@ -15,15 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import (
-    EncodingError,
-    FormatError,
-    MalformedToken,
-    MissingColumn,
-    ZeroValue,
-)
-from .gof import DigitCensus, digit_support
-from .significand import ExactDecimal, extract_digits, parse_token, token_pattern
+from .errors import EncodingError, FormatError, MalformedToken, MissingColumn
+from .gof import DigitCensus, count_digits
+from .significand import ExactDecimal, _decimal_from_match, parse_token, token_pattern
 
 _RUN_EXTRAS = set(".,+-")
 
@@ -113,9 +107,8 @@ def scan_text(
             if after and after.isalnum():
                 pos = _skip_run(line, start)
                 continue
-            raw = m.group()
-            value = parse_token(raw, separators=policy.thousands_separators)
-            yield NumberToken(value=value, line=lineno, column=start + 1, raw=raw)
+            value = _decimal_from_match(m)
+            yield NumberToken(value=value, line=lineno, column=start + 1, raw=m.group())
             pos = end
 
 
@@ -185,21 +178,17 @@ def census_from_tokens(
     digit), are excluded and counted.
     """
     skips = policy.compiled_skips()
-    support = digit_support(position, base)
-    offset = support[0]
-    counts = [0] * len(support)
-    exclusions = 0
-    for token in tokens:
-        if any(rx.fullmatch(token.raw) for rx in skips):
-            exclusions += 1
-            continue
-        try:
-            sig = extract_digits(token.value, position, base)
-        except ZeroValue:
-            exclusions += 1
-            continue
-        counts[sig.digits[position - 1] - offset] += 1
-    return DigitCensus(position, base, tuple(counts), exclusions)
+    skipped = 0
+
+    def kept() -> Iterator[ExactDecimal]:
+        nonlocal skipped
+        for token in tokens:
+            if any(rx.fullmatch(token.raw) for rx in skips):
+                skipped += 1
+            else:
+                yield token.value
+
+    return count_digits(kept(), position, base).with_exclusions(skipped)
 
 
 def census_from_text(

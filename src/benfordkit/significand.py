@@ -1,10 +1,12 @@
 """Lossless significant-digit extraction in arbitrary base.
 
 Numeric tokens are kept as exact decimal records (sign, digit string,
-power-of-ten exponent), so digit extraction never rounds. Conversion to a
+power-of-ten exponent), so digit extraction never rounds. Base 10 reads
+the significant digits straight off the stored digit string, so its cost
+depends on the token's length and never on its exponent. Conversion to a
 non-decimal base runs on integer scalings of the value; no floating-point
-logarithm is consulted anywhere, which is what makes boundary values such
-as exact powers of the base come out right by construction.
+logarithm decides a digit anywhere, which is what makes boundary values
+such as exact powers of the base come out right by construction.
 """
 
 from __future__ import annotations
@@ -152,12 +154,17 @@ def parse_token(text: str, *, separators: bool = False) -> ExactDecimal:
     m = token_pattern(separators).fullmatch(text)
     if m is None:
         raise MalformedToken(f"not a numeric token: {text!r}")
-    sign = -1 if text.startswith("-") else 1
-    int_part = (m.group("int") or "").replace(",", "")
-    frac_part = m.group("frac") or m.group("lone_frac") or ""
-    exp10 = int(m.group("exp") or 0)
+    return _decimal_from_match(m)
 
-    written = int_part + frac_part
+
+def _decimal_from_match(m: re.Match[str]) -> ExactDecimal:
+    """The exact record of a token the grammar matched (the whole match)."""
+    int_part, frac, lone_frac, exp = m.group("int", "frac", "lone_frac", "exp")
+    sign = -1 if m.string[m.start()] == "-" else 1
+    int_part = (int_part or "").replace(",", "")
+    exp10 = int(exp or 0)
+
+    written = int_part + (frac or lone_frac or "")
     stripped = written.lstrip("0")
     if not stripped:
         # Exactly zero: keep the written zeros so the record stays non-empty.
@@ -216,16 +223,56 @@ def extract_digits_rational(
     return SignificantDigits(base=base, digits=tuple(digits), exponent=e)
 
 
+def _decimal_significand(value: ExactDecimal, k: int) -> tuple[str, int]:
+    """The first k significant base-10 digits of a nonzero value, padded
+    with zeros past the stored ones, and the power of ten of the first.
+
+    This is the one place a base-10 digit is read: straight off the stored
+    digit string, with no Fraction and no power of ten built.
+    """
+    digits = value.digits
+    if not digits.isascii():
+        # Other Unicode decimal digits ("٣", "３") read as their values.
+        digits = "".join(str(int(c)) for c in digits)
+    exponent = value.exponent
+    if digits[0] == "0":
+        # A zero, or a record built with leading zeros (ExactDecimal(1, "0123", 5)).
+        stripped = digits.lstrip("0")
+        if not stripped:
+            raise ZeroValue("value is zero; no significant digit exists")
+        exponent -= len(digits) - len(stripped)
+        digits = stripped
+    if k < 1 or k > MAX_EXTRACT_DIGITS:
+        raise DomainError(f"k must be in [1, {MAX_EXTRACT_DIGITS}], got {k}")
+    return digits[:k].ljust(k, "0"), exponent - 1
+
+
 def extract_digits(value: ExactDecimal, k: int, base: int = 10) -> SignificantDigits:
     """First k significant digits of |value| in ``base``.
 
     Raises ZeroValue when the token is exactly zero (callers exclude and
-    count such entries). Conversion is exact for every base.
+    count such entries). Conversion is exact for every base; base 10 reads
+    the stored digits, other bases go through the exact rational value.
     """
+    if base == 10:
+        digits, exponent = _decimal_significand(value, k)
+        return SignificantDigits(10, tuple(map(int, digits)), exponent)
     if value.is_zero:
         raise ZeroValue("value is zero; no significant digit exists")
     frac = value.as_fraction()
     return extract_digits_rational(abs(frac.numerator), frac.denominator, k, base)
+
+
+def digit_at(value: ExactDecimal, position: int, base: int = 10) -> int:
+    """The ``position``-th significant digit of |value| in ``base``.
+
+    Same contract as ``extract_digits(value, position, base).digits[-1]``:
+    ZeroValue for a zero, DomainError for a position outside
+    1..MAX_EXTRACT_DIGITS. In base 10 no SignificantDigits is built.
+    """
+    if base == 10:
+        return int(_decimal_significand(value, position)[0][-1])
+    return extract_digits(value, position, base).digits[-1]
 
 
 def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigits:
@@ -238,11 +285,15 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
 def first_digit(value: int, base: int = 10) -> int:
     """Leading significant digit of a nonzero integer.
 
-    Base 10 reads the digit off the decimal expansion directly; other bases
-    go through the exact integer conversion.
+    Base 10 reads the digit off the decimal expansion directly; other bases,
+    and integers past CPython's str(int) digit limit, go through the exact
+    integer conversion.
     """
     if value == 0:
         raise ZeroValue("value is zero; no significant digit exists")
     if base == 10:
-        return int(str(abs(value))[0])
+        try:
+            return int(str(abs(value))[0])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     return extract_digits_bigint(value, 1, base).first

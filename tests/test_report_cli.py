@@ -146,6 +146,17 @@ class TestAnalyzeCommand:
         assert code in (0, 2)
         assert doc["counts"] == [800, 1, 0, 0, 0, 0, 0, 0, 0]
 
+    def test_huge_exponents_count(self, tmp_path, capsys):
+        # Base 10 reads the written digits, so these cost what their text
+        # costs, however large the exponent.
+        data = tmp_path / "extremes.txt"
+        data.write_text("9.5e999999999 1e-999999999 2.5E+999999999 -3e1000000 0e999999999")
+        code = cli.main(["analyze", str(data), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        assert doc["counts"] == [1, 1, 1, 0, 0, 0, 0, 0, 1]
+        assert doc["exclusions"] == 1
+
     def test_deep_position_has_expected_marginal(self, tmp_path, capsys):
         data = tmp_path / "vals.txt"
         data.write_text("123456789 987654321.5 1.0000000005")
@@ -198,6 +209,12 @@ class TestGenerateCommand:
         assert lines[0] == "digit,count"
         counts = {int(d): int(c) for d, c in (line.split(",") for line in lines[1:])}
         assert counts == {1: 3, 2: 1, 3: 1, 4: 2, 5: 0, 6: 1, 7: 0, 8: 1, 9: 1}
+
+    def test_census_past_str_digit_limit(self, capsys):
+        # 2000! has 5736 digits, past CPython's default str(int) limit.
+        assert cli.main(["generate", "factorial", "--n", "2000", "--census"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert sum(int(line.split(",")[1]) for line in lines[1:]) == 2000
 
     def test_power_alpha_values_are_rational(self, capsys):
         assert cli.main(

@@ -1,14 +1,19 @@
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 
 from benfordkit.errors import DomainError, MalformedToken, ZeroValue
+from benfordkit.gof import build_census
+from benfordkit.ingest import census_from_text
+from benfordkit.sequences import factorial_values, fibonacci_values
 from benfordkit.significand import (
     MAX_EXTRACT_DIGITS,
     ExactDecimal,
     SignificantDigits,
+    digit_at,
     extract_digits,
     extract_digits_bigint,
     extract_digits_rational,
@@ -159,6 +164,92 @@ class TestNegativePowers:
     def test_below_smallest_double(self):
         sig = extract_digits(parse_token("2.5e-350"), 2, 10)
         assert (sig.digits, sig.exponent) == ((2, 5), -350)
+
+
+class TestDigitAt:
+    def test_reads_stored_digits(self):
+        x = parse_token("-6.626e-34")
+        assert [digit_at(x, k) for k in range(1, 6)] == [6, 6, 2, 6, 0]
+
+    def test_denormalized_record(self):
+        # 0.0123 * 10**5 = 1230: the written leading zero is not a digit.
+        x = ExactDecimal(1, "0123", 5)
+        assert [digit_at(x, k) for k in (1, 2, 3, 4)] == [1, 2, 3, 0]
+        sig = extract_digits(x, 4, 10)
+        assert (sig.digits, sig.exponent) == ((1, 2, 3, 0), 3)
+
+    def test_zero_and_position_errors(self):
+        for zero in (parse_token("0.00"), ExactDecimal(-1, "000", 7)):
+            with pytest.raises(ZeroValue):
+                digit_at(zero, 1)
+        for k in (0, MAX_EXTRACT_DIGITS + 1):
+            with pytest.raises(DomainError):
+                digit_at(parse_token("5"), k)
+            with pytest.raises(DomainError):
+                digit_at(parse_token("5"), k, 16)
+
+    def test_other_unicode_decimal_digits(self):
+        # The token grammar's \d matches any Unicode decimal digit; they
+        # read as their values, leading zeros included.
+        for text in ("\u0660\u0661\u0662", "\uff11\uff12", "\u0663.\u0664e2"):
+            x = parse_token(text)
+            frac = x.as_fraction()
+            for base in (10, 16):
+                exact = extract_digits_rational(frac.numerator, frac.denominator, 2, base)
+                assert extract_digits(x, 2, base) == exact
+                assert digit_at(x, 2, base) == exact.digits[1]
+
+
+class TestBoundedCost:
+    # Base 10 reads the stored digits, so a huge exponent costs nothing. A
+    # Fraction of 9.5e999999999 would hold a billion-digit integer.
+    @pytest.fixture(autouse=True)
+    def no_fractions(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("base-10 extraction built a Fraction")
+
+        monkeypatch.setattr(ExactDecimal, "as_fraction", refuse)
+
+    @pytest.mark.parametrize(
+        "token, digits, exponent",
+        [("9.5e999999999", (9, 5), 999999999), ("1e-999999999", (1, 0), -999999999)],
+    )
+    def test_huge_exponents(self, token, digits, exponent):
+        value = parse_token(token)
+        assert digit_at(value, 1, 10) == digits[0]
+        assert digit_at(value, 2, 10) == digits[1]
+        sig = extract_digits(value, 2, 10)
+        assert (sig.digits, sig.exponent) == (digits, exponent)
+
+    def test_censuses(self):
+        text = "9.5e999999999 1e-999999999 0e999999999"
+        for census in (census_from_text(text), build_census(text.split())):
+            assert census.counts == (1, 0, 0, 0, 0, 0, 0, 0, 1)
+            assert census.exclusions == 1
+
+
+def _leading_decimal_digit(n: int) -> int:
+    """First decimal digit of n > 0 by integer arithmetic only (no str)."""
+    power = 1
+    while power * 10 <= n:
+        power *= 10
+    return n // power
+
+
+class TestFirstDigitPastStrLimit:
+    # CPython refuses str(int) past 4300 digits by default; the last
+    # Fibonacci and factorial terms here have ~6270 and ~5736.
+    @pytest.mark.parametrize(
+        "values",
+        [lambda: fibonacci_values(1, 1, 30000), lambda: factorial_values(2000)],
+        ids=["fibonacci-30000", "factorial-2000"],
+    )
+    def test_last_terms_against_integer_oracle(self, values):
+        last = deque(values(), maxlen=3)
+        assert all(v > 10**4300 for v in last)
+        for v in last:
+            assert first_digit(v) == _leading_decimal_digit(v)
+            assert first_digit(-v) == _leading_decimal_digit(v)
 
 
 class TestExtractBigint:

@@ -1,14 +1,19 @@
 """Differential tests of the exact integer log and rational digit extraction
-against a pure-integer oracle, over bases 2-64 and exponents -400..400."""
+against a pure-integer oracle, over bases 2-64 and exponents -400..400, and
+of the base-10 digit read against the exact Fraction path."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
+from benfordkit.errors import ZeroValue
 from benfordkit.significand import (
     MAX_EXTRACT_DIGITS,
+    ExactDecimal,
     _integer_log,
+    digit_at,
+    extract_digits,
     extract_digits_rational,
 )
 
@@ -71,3 +76,30 @@ class TestIntegerLogDifferential:
         sig = extract_digits_rational(num, den, k, base)
         assert sig.exponent == _oracle_log(num, den, base)
         assert sig.digits == _oracle_digits(num, den, k, base)
+
+
+@st.composite
+def _decimals(draw):
+    """Exact decimal records, some denormalized (leading zeros) and some
+    with trailing zeros, over exponents -10**4..10**4."""
+    body = draw(st.text("0123456789", min_size=1, max_size=25))
+    digits = "0" * draw(st.integers(0, 3)) + body + "0" * draw(st.integers(0, 3))
+    return ExactDecimal(
+        draw(st.sampled_from((1, -1))), digits, draw(st.integers(-(10**4), 10**4))
+    )
+
+
+class TestDecimalReadDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_decimals(), st.integers(1, MAX_EXTRACT_DIGITS))
+    def test_matches_fraction_path(self, value, k):
+        frac = value.as_fraction()
+        if frac == 0:
+            with pytest.raises(ZeroValue):
+                digit_at(value, k, 10)
+            with pytest.raises(ZeroValue):
+                extract_digits(value, k, 10)
+            return
+        exact = extract_digits_rational(abs(frac.numerator), frac.denominator, k, 10)
+        assert extract_digits(value, k, 10) == exact
+        assert digit_at(value, k, 10) == exact.digits[k - 1]
