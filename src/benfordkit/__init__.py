@@ -6,6 +6,8 @@ generators, a multiplicative-process ensemble simulator, and numeric-token
 ingestion from text and tables.
 """
 
+__version__ = "0.1.0"
+
 from . import datasets
 from .errors import (
     BenfordError,
@@ -84,9 +86,6 @@ from .simulate import (
     convergence_curve,
     curve_as_csv,
     curve_as_json,
-    d1_to_benford,
     run_ensemble,
     run_ensemble_partitioned,
 )
-
-__version__ = "0.1.0"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import law, report, sequences
@@ -49,19 +48,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-shape", action="append", default=[], metavar="PATTERN",
                    help="regex for token shapes to exclude (repeatable)")
 
-    p = sub.add_parser("generate", help="emit a mathematical series")
+    p = sub.add_parser(
+        "generate", help="emit a mathematical series",
+        epilog="parameters: " + "; ".join(
+            kind.replace("_", "-") + " " + " ".join(
+                f"--{name}" if default is None else f"[--{name} {default}]"
+                for name, _, default in series.params)
+            for kind, series in sequences._SERIES.items()),
+    )
     p.add_argument("kind", nargs="?",
-                   choices=("fibonacci", "primes", "power-alpha", "factorial",
-                            "power-n", "pascal"))
+                   choices=[kind.replace("_", "-") for kind in sequences._SERIES])
     p.add_argument("--config", help="read the sequence spec from a config file")
-    p.add_argument("--a1", type=int, default=1, help="fibonacci: first seed")
-    p.add_argument("--a2", type=int, default=1, help="fibonacci: second seed")
-    p.add_argument("--terms", type=int, help="fibonacci: number of terms")
-    p.add_argument("--below", type=int, help="primes: exclusive upper bound")
-    p.add_argument("--alpha", help="power-alpha: ratio > 1, e.g. 1007/1000 or 1.007")
-    p.add_argument("--n", type=int, help="power-alpha/factorial/power-n: term count")
-    p.add_argument("--k", type=int, help="power-n: exponent")
-    p.add_argument("--rows", type=int, help="pascal: number of rows")
+    p.add_argument("--a1", type=int, help="first seed")
+    p.add_argument("--a2", type=int, help="second seed")
+    p.add_argument("--terms", type=int, help="number of terms")
+    p.add_argument("--below", type=int, help="exclusive upper bound")
+    p.add_argument("--alpha", help="ratio > 1, e.g. 1007/1000 or 1.007")
+    p.add_argument("--n", type=int, help="term count")
+    p.add_argument("--k", type=int, help="exponent")
+    p.add_argument("--rows", type=int, help="number of rows")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--census", action="store_true",
                    help="emit the first-digit census instead of the stream")
@@ -150,31 +155,13 @@ def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
     if not args.kind:
         raise DomainError("generate needs a sequence kind or --config FILE")
     kind = args.kind.replace("-", "_")
-    params: dict = {}
-    if kind == "fibonacci":
-        if args.terms is None:
-            raise DomainError("fibonacci requires --terms")
-        params = {"a1": args.a1, "a2": args.a2, "terms": args.terms}
-    elif kind == "primes":
-        if args.below is None:
-            raise DomainError("primes requires --below")
-        params = {"below": args.below}
-    elif kind == "power_alpha":
-        if args.alpha is None or args.n is None:
-            raise DomainError("power-alpha requires --alpha and --n")
-        params = {"alpha": Fraction(args.alpha), "n": args.n}
-    elif kind == "factorial":
-        if args.n is None:
-            raise DomainError("factorial requires --n")
-        params = {"n": args.n}
-    elif kind == "power_n":
-        if args.k is None or args.n is None:
-            raise DomainError("power-n requires --k and --n")
-        params = {"k": args.k, "n": args.n}
-    elif kind == "pascal":
-        if args.rows is None:
-            raise DomainError("pascal requires --rows")
-        params = {"rows": args.rows}
+    table = sequences._SERIES[kind].params
+    params = {name: getattr(args, name) for name, _, _ in table
+              if getattr(args, name) is not None}
+    missing = [f"--{name}" for name, _, default in table
+               if default is None and name not in params]
+    if missing:
+        raise DomainError(f"{args.kind} requires {' and '.join(missing)}")
     return sequences.SequenceSpec(kind=kind, params=params, base=args.base)
 
 

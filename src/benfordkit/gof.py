@@ -182,9 +182,14 @@ def chi_square(census: DigitCensus) -> float:
 
 
 def tvd_benford(census: DigitCensus) -> float:
-    """Total variation distance between the census and the first-digit law."""
-    observed = _check_testable(census)
-    deviations = np.abs(observed - benford_frequencies())
+    """Total variation distance d1 between a first-digit census, in any
+    base, and the first-digit law log_b(1 + 1/n) of that base."""
+    if census.position != 1:
+        raise DomainError(
+            f"d1 needs a first-digit census, got position {census.position}"
+        )
+    expected = law.first_digit_distribution(census.base).as_array()
+    deviations = np.abs(census.frequencies() - expected)
     return 0.5 * math.fsum(deviations.tolist())
 
 

@@ -158,10 +158,23 @@ def read_table(
     The first row is a header. Cells that are not numeric tokens are
     skipped here; the census builders count them as exclusions.
     """
+    return _table_tokens(data, fmt, policy, encoding, [0])
+
+
+def _table_tokens(
+    data: str | bytes,
+    fmt: str,
+    policy: ScanPolicy,
+    encoding: str,
+    non_numeric: list[int],
+) -> Iterator[NumberToken]:
+    """The tokens of ``read_table``; cells that are not numeric tokens are
+    skipped and tallied in ``non_numeric[0]``."""
     for rowno, colno, cell in _iter_cells(data, fmt, policy, encoding):
         try:
             value = parse_token(cell, separators=policy.thousands_separators)
         except MalformedToken:
+            non_numeric[0] += 1
             continue
         yield NumberToken(value=value, line=rowno, column=colno, raw=cell)
 
@@ -211,20 +224,10 @@ def census_from_table(
     encoding: str = "utf-8",
 ) -> DigitCensus:
     """One-stop table read; non-numeric cells count as exclusions."""
-    non_numeric = 0
-
-    def tokens() -> Iterator[NumberToken]:
-        nonlocal non_numeric
-        for rowno, colno, cell in _iter_cells(data, fmt, policy, encoding):
-            try:
-                value = parse_token(cell, separators=policy.thousands_separators)
-            except MalformedToken:
-                non_numeric += 1
-                continue
-            yield NumberToken(value=value, line=rowno, column=colno, raw=cell)
-
-    census = census_from_tokens(tokens(), policy, position, base)
-    return census.with_exclusions(non_numeric)
+    non_numeric = [0]
+    tokens = _table_tokens(data, fmt, policy, encoding, non_numeric)
+    census = census_from_tokens(tokens, policy, position, base)
+    return census.with_exclusions(non_numeric[0])
 
 
 def dump_tokens_csv(tokens: Iterable[NumberToken], out: TextIO) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from . import law
+from . import __version__, law
 from .errors import DomainError
 from .gof import (
     CHI2_CRITICAL_1PCT,
@@ -20,8 +20,6 @@ from .gof import (
     GofReport,
     full_report,
 )
-
-TOOL_VERSION = "0.1.0"
 
 
 def round12(x: float) -> float:
@@ -88,7 +86,7 @@ def build_report(
         "input": input_descriptor,
         "policy": policy_description or {},
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "version": TOOL_VERSION,
+        "version": __version__,
         "seed": seed,
         "position": census.position,
         "base": census.base,

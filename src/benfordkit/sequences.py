@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -217,16 +217,42 @@ def _exact_alpha_digit(alpha: Fraction, n: int, base: int) -> int:
     ).first
 
 
-_KINDS = ("fibonacci", "primes", "power_alpha", "factorial", "power_n", "pascal")
+class _Series(NamedTuple):
+    values: Callable[..., Iterator]
+    digits: Callable[..., Iterator[int]]
+    # (name, type, default) in argument order; default None = required.
+    params: tuple[tuple[str, type, int | None], ...]
+
+
+# The series kinds: each one's value and first-digit generators and the
+# parameters both take (the digit generator also takes the base).
+_SERIES = {
+    "fibonacci": _Series(
+        fibonacci_values,
+        fibonacci_digits,
+        (("a1", int, 1), ("a2", int, 1), ("terms", int, None)),
+    ),
+    "primes": _Series(prime_values, prime_digits, (("below", int, None),)),
+    "power_alpha": _Series(
+        alpha_power_values,
+        alpha_power_digits,
+        (("alpha", Fraction, None), ("n", int, None)),
+    ),
+    "factorial": _Series(factorial_values, factorial_digits, (("n", int, None),)),
+    "power_n": _Series(
+        n_power_values, n_power_digits, (("k", int, None), ("n", int, None))
+    ),
+    "pascal": _Series(pascal_values, pascal_digits, (("rows", int, None),)),
+}
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
     """Parameters selecting one series generator.
 
-    ``params`` keys by kind:
-      fibonacci: a1, a2, terms;  primes: below;  power_alpha: alpha, n;
-      factorial: n;  power_n: k, n;  pascal: rows.
+    ``kind`` and the ``params`` keys it takes are those of the kind table
+    ``_SERIES`` in this module; values may be strings, as read from a
+    config file.
     """
 
     kind: str
@@ -234,51 +260,25 @@ class SequenceSpec:
     base: int = 10
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _SERIES:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
         if self.base < 2:
             raise DomainError("base must be >= 2")
 
-    def _int(self, key: str, default: int | None = None) -> int:
-        if key not in self.params:
-            if default is None:
-                raise DomainError(f"{self.kind} requires parameter {key!r}")
-            return default
-        return int(self.params[key])
+    def _arguments(self) -> list:
+        params = _SERIES[self.kind].params
+        missing = [name for name, _, default in params
+                   if default is None and name not in self.params]
+        if missing:
+            raise DomainError(f"{self.kind} requires {', '.join(missing)}")
+        return [convert(self.params[name]) if name in self.params else default
+                for name, convert, default in params]
 
     def digit_stream(self) -> Iterator[int]:
-        if self.kind == "fibonacci":
-            return fibonacci_digits(
-                self._int("a1", 1), self._int("a2", 1), self._int("terms"), self.base
-            )
-        if self.kind == "primes":
-            return prime_digits(self._int("below"), self.base)
-        if self.kind == "power_alpha":
-            if "alpha" not in self.params:
-                raise DomainError("power_alpha requires parameter 'alpha'")
-            return alpha_power_digits(self.params["alpha"], self._int("n"), self.base)
-        if self.kind == "factorial":
-            return factorial_digits(self._int("n"), self.base)
-        if self.kind == "power_n":
-            return n_power_digits(self._int("k"), self._int("n"), self.base)
-        return pascal_digits(self._int("rows"), self.base)
+        return _SERIES[self.kind].digits(*self._arguments(), self.base)
 
     def value_stream(self) -> Iterator:
-        if self.kind == "fibonacci":
-            return fibonacci_values(
-                self._int("a1", 1), self._int("a2", 1), self._int("terms")
-            )
-        if self.kind == "primes":
-            return prime_values(self._int("below"))
-        if self.kind == "power_alpha":
-            if "alpha" not in self.params:
-                raise DomainError("power_alpha requires parameter 'alpha'")
-            return alpha_power_values(self.params["alpha"], self._int("n"))
-        if self.kind == "factorial":
-            return factorial_values(self._int("n"))
-        if self.kind == "power_n":
-            return n_power_values(self._int("k"), self._int("n"))
-        return pascal_values(self._int("rows"))
+        return _SERIES[self.kind].values(*self._arguments())
 
     @classmethod
     def from_config(cls, text: str) -> "SequenceSpec":

@@ -5,11 +5,15 @@ so its leading-digit census drifts toward log_b(1 + 1/n) in any base; an
 additive walk N(t+1) = xi + N(t) does not. Walker state is kept in log
 space to survive long multiplicative runs without overflow.
 
-Digit extraction reads the fractional part of log_base(N). Values whose
-fractional part falls within a small guard band of a digit boundary are
-re-derived in 50-digit arithmetic (replaying the walker's noise stream),
-so boundary cases like a constant noise of exactly the base classify
-correctly instead of flapping on float rounding.
+One classifier takes every census: it reads the leading digit off the
+fractional part of log_base(N) and flags walkers whose fractional part
+falls within a small guard band of a digit boundary. Flagged walkers are
+re-derived exactly, so boundary cases like a constant noise of exactly
+the base classify correctly instead of flapping on float rounding: a
+multiplicative walker by replaying its noise stream in 50-digit
+arithmetic, an additive walker from its stored double. Additive states
+that are not positive and finite have no leading digit and count as
+exclusions.
 
 Runs are deterministic per seed. The generator is counter-based
 (numpy's Philox, 4x64 with 10 rounds) and its name and the numpy version
@@ -21,15 +25,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath
 import numpy as np
 
 from .errors import DomainError, EmptyCensus, InvalidNoise
-from .gof import DigitCensus
-from .law import first_digit_distribution
+from .gof import DigitCensus, tvd_benford
 from .significand import extract_digits_rational
 
 PRNG_NAME = "numpy.random.Philox (4x64, 10 rounds)"
@@ -56,8 +58,14 @@ class NoiseSpec:
                 f"{self.family} takes {_FAMILIES[self.family]} parameters, "
                 f"got {len(self.params)}"
             )
-        if self.family == "uniform" and self.params[0] >= self.params[1]:
-            raise InvalidNoise("uniform noise requires lo < hi")
+        if not all(math.isfinite(p) for p in self.params):
+            raise InvalidNoise(f"{self.family} parameters must be finite")
+        if self.family == "uniform":
+            lo, hi = self.params
+            if not 0 < hi - lo < math.inf:
+                raise InvalidNoise(
+                    "uniform noise requires lo < hi and a finite hi - lo"
+                )
         if self.family == "lognormal" and self.params[1] < 0:
             raise InvalidNoise("lognormal sigma must be >= 0")
 
@@ -101,6 +109,8 @@ class ProcessSpec:
             raise DomainError("steps and walkers must be >= 1")
         if self.base < 2:
             raise DomainError("base must be >= 2")
+        if not math.isfinite(self.initial_value):
+            raise DomainError("initial_value must be finite")
         if self.kind == "multiplicative":
             if not self.noise.strictly_positive:
                 raise InvalidNoise(
@@ -230,12 +240,23 @@ def _exact_digits_from_replay(
     return out
 
 
-def _census_from_logs(
-    log_values: np.ndarray, spec: ProcessSpec, step: int
-) -> DigitCensus:
-    """First-digit census of walkers whose ln-values are given."""
+def _census(state: np.ndarray, spec: ProcessSpec, step: int) -> DigitCensus:
+    """First-digit census of the walkers' states at one recorded step.
+
+    Multiplicative states are ln-values; additive states are the values,
+    of which those that are not positive and finite are excluded. Digits
+    come from the fractional part of log_base; a walker within
+    BOUNDARY_GUARD of a digit boundary is resolved exactly: by replaying
+    its noise for a multiplicative run, from its stored double for an
+    additive one.
+    """
     base = spec.base
-    x = log_values / math.log(base)
+    multiplicative = spec.kind == "multiplicative"
+    if multiplicative:
+        x = state / math.log(base)
+    else:
+        state = state[(state > 0) & (state < np.inf)]
+        x = np.log(state) / math.log(base)
     frac = x - np.floor(x)
     digits = np.floor(base**frac).astype(np.int64)
     np.clip(digits, 1, base - 1, out=digits)
@@ -245,37 +266,18 @@ def _census_from_logs(
     lo_gap = frac - bounds[digits - 1]
     hi_gap = bounds[digits] - frac
     flagged = np.nonzero((lo_gap < BOUNDARY_GUARD) | (hi_gap < BOUNDARY_GUARD))[0]
-    if len(flagged):
-        exact = _exact_digits_from_replay(spec, step, flagged)
-        for i, d in exact.items():
+    if multiplicative:
+        for i, d in _exact_digits_from_replay(spec, step, flagged).items():
             digits[i] = d
+    else:
+        for i in flagged:
+            # The stored double is the exact state here; classify it exactly.
+            num, den = float(state[i]).as_integer_ratio()
+            digits[i] = extract_digits_rational(num, den, 1, base).first
 
     counts = np.bincount(digits, minlength=base)[1:base]
-    return DigitCensus(1, base, tuple(int(c) for c in counts))
-
-
-def _census_from_values(values: np.ndarray, base: int) -> DigitCensus:
-    """Census for additive walkers; non-positive values are excluded."""
-    positive = values[values > 0]
-    exclusions = len(values) - len(positive)
-    if len(positive) == 0:
-        return DigitCensus.empty(1, base).with_exclusions(exclusions)
-    x = np.log(positive) / math.log(base)
-    frac = x - np.floor(x)
-    digits = np.floor(base**frac).astype(np.int64)
-    np.clip(digits, 1, base - 1, out=digits)
-
-    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
-    lo_gap = frac - bounds[digits - 1]
-    hi_gap = bounds[digits] - frac
-    flagged = np.nonzero((lo_gap < BOUNDARY_GUARD) | (hi_gap < BOUNDARY_GUARD))[0]
-    for i in flagged:
-        # The stored double is the exact state here; classify it exactly.
-        f = Fraction(float(positive[i]))
-        digits[i] = extract_digits_rational(f.numerator, f.denominator, 1, base).first
-
-    counts = np.bincount(digits, minlength=base)[1:base]
-    return DigitCensus(1, base, tuple(int(c) for c in counts), exclusions)
+    excluded = spec.walkers - len(state)
+    return DigitCensus(1, base, tuple(int(c) for c in counts), excluded)
 
 
 def iterate_states(spec: ProcessSpec) -> Iterable[tuple[int, np.ndarray]]:
@@ -305,14 +307,7 @@ def iterate_states(spec: ProcessSpec) -> Iterable[tuple[int, np.ndarray]]:
 def run_ensemble(spec: ProcessSpec) -> list[tuple[int, DigitCensus]]:
     """Simulate the ensemble, returning the first-digit census at each
     recorded step. Identical specs (seed included) give identical output."""
-    series = []
-    for t, state in iterate_states(spec):
-        if spec.kind == "multiplicative":
-            census = _census_from_logs(state, spec, t)
-        else:
-            census = _census_from_values(state, spec.base)
-        series.append((t, census))
-    return series
+    return [(t, _census(state, spec, t)) for t, state in iterate_states(spec)]
 
 
 def run_ensemble_partitioned(
@@ -350,13 +345,6 @@ def run_ensemble_partitioned(
     return sorted(merged.items())
 
 
-def d1_to_benford(census: DigitCensus) -> float:
-    """Total variation distance of a first-digit census from log_b(1+1/n)."""
-    expected = first_digit_distribution(census.base).as_array()
-    observed = census.frequencies()
-    return 0.5 * float(np.abs(observed - expected).sum())
-
-
 def convergence_curve(spec: ProcessSpec) -> list[tuple[int, float]]:
     """(step, d1-to-law) rows across the run, ready for plotting.
 
@@ -366,7 +354,7 @@ def convergence_curve(spec: ProcessSpec) -> list[tuple[int, float]]:
     curve = []
     for t, census in run_ensemble(spec):
         try:
-            curve.append((t, d1_to_benford(census)))
+            curve.append((t, tvd_benford(census)))
         except EmptyCensus:
             continue
     return curve

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import property_checks as checks
-from benfordkit.gof import DigitCensus, full_report
+from benfordkit.gof import DigitCensus, full_report, tvd_benford
 from benfordkit.law import digit_correlation, joint_prob, moments, tvd_from_uniform
 from benfordkit.sequences import (
     DEFAULT_FIBONACCI_SEEDS,
@@ -29,7 +29,7 @@ from benfordkit.sequences import (
     prime_values,
 )
 from benfordkit.significand import first_digit
-from benfordkit.simulate import NoiseSpec, ProcessSpec, d1_to_benford, run_ensemble
+from benfordkit.simulate import NoiseSpec, ProcessSpec, run_ensemble
 
 MOMENTS_REFERENCE = {
     1: (3.44023696712, 6.0565126313757),
@@ -213,7 +213,7 @@ def _final_d1(kind: str, noise: NoiseSpec, base: int, seed: int) -> float:
         kind=kind, noise=noise, steps=50, walkers=10**4,
         initial_value=1.0, base=base, seed=seed,
     )
-    return d1_to_benford(run_ensemble(spec)[-1][1])
+    return tvd_benford(run_ensemble(spec)[-1][1])
 
 
 @pytest.mark.criterion(

@@ -17,6 +17,7 @@ from benfordkit.gof import (
     tvd_benford,
 )
 from benfordkit.significand import parse_token
+from benfordkit.simulate import NoiseSpec, ProcessSpec, run_ensemble
 
 TABLE4_COUNTS = (63, 37, 18, 15, 15, 13, 7, 7, 8)
 
@@ -122,6 +123,24 @@ class TestStatistics:
             chi_square(DigitCensus(2, 10, (1,) * 10))
         with pytest.raises(DomainError):
             chi_square(DigitCensus(1, 16, (1,) * 15))
+        with pytest.raises(DomainError):
+            max_deviation(DigitCensus(1, 16, (1,) * 15))
+        with pytest.raises(DomainError):
+            full_report(DigitCensus(1, 16, (1,) * 15))
+        with pytest.raises(DomainError):
+            tvd_benford(DigitCensus(2, 10, (1,) * 10))
+
+    @pytest.mark.parametrize("base", [2, 8, 16])
+    def test_tvd_any_base_matches_manual_formula(self, base):
+        spec = ProcessSpec(kind="multiplicative",
+                           noise=NoiseSpec("lognormal", (0.0, 1.0)),
+                           steps=5, walkers=300, base=base, seed=4)
+        _, census = run_ensemble(spec)[-1]
+        freqs = np.asarray(census.counts) / census.sample_size
+        expect = 0.5 * sum(
+            abs(f - math.log(1 + 1 / d, base)) for d, f in zip(range(1, base), freqs)
+        )
+        assert tvd_benford(census) == pytest.approx(expect, abs=1e-15)
 
     def test_chi_square_matches_pearson_form(self):
         # The frequency form times S equals the classic count form.

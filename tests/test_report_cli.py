@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from benfordkit import cli, law, report
+import benfordkit
+from benfordkit import cli, law, report, sequences
 from benfordkit.datasets import constants_sample_path
 from benfordkit.gof import DigitCensus
 from benfordkit.sequences import prime_values
@@ -39,6 +40,7 @@ class TestReportDocument:
         assert sum(doc["counts"]) == 183
         for key in ("timestamp", "version", "position", "base", "digits"):
             assert key in doc["meta"]
+        assert doc["meta"]["version"] == benfordkit.__version__ == "0.1.0"
 
     def test_json_and_csv_numbers_identical(self, table4_doc):
         js = report.to_json_dict(table4_doc)
@@ -236,8 +238,83 @@ class TestGenerateCommand:
         assert cli.main(["generate"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, missing, given", [
+        (["fibonacci", "--a1", "2"], ["--terms"], ["--a1", "--a2"]),
+        (["primes"], ["--below"], []),
+        (["power-alpha", "--n", "3"], ["--alpha"], ["--n"]),
+        (["factorial"], ["--n"], []),
+        (["power-n"], ["--k", "--n"], []),
+        (["pascal"], ["--rows"], []),
+    ])
+    def test_missing_parameters_named(self, argv, missing, given, capsys):
+        assert cli.main(["generate", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[0]} requires")
+        for flag in missing:
+            assert flag in err
+        for flag in given:
+            assert flag not in err
+
+
+# One modest parameter set per series kind, as (flag, value) pairs.
+SERIES_CASES = {
+    "fibonacci": {"a1": 2, "a2": 5, "terms": 60},
+    "primes": {"below": 700},
+    "power-alpha": {"alpha": "1007/1000", "n": 80},
+    "factorial": {"n": 45},
+    "power-n": {"k": 3, "n": 70},
+    "pascal": {"rows": 14},
+}
+
+
+class TestGenerateRoutesAgree:
+    """CLI flags, a --config file and a SequenceSpec give the same series."""
+
+    def test_cases_cover_every_kind(self):
+        assert set(SERIES_CASES) == {k.replace("_", "-") for k in sequences._SERIES}
+
+    @pytest.mark.parametrize("base", [10, 16])
+    @pytest.mark.parametrize("kind", sorted(SERIES_CASES))
+    def test_flags_config_and_spec(self, kind, base, tmp_path, capsys):
+        params = SERIES_CASES[kind]
+        config = tmp_path / "series.cfg"
+        config.write_text(
+            f"{kind}\nbase = {base}\n"
+            + "".join(f"{key} = {value}\n" for key, value in params.items())
+        )
+        flags = [x for key, value in params.items() for x in (f"--{key}", str(value))]
+        spec = sequences.SequenceSpec(kind.replace("-", "_"), params, base)
+        digits = list(spec.digit_stream())
+        census = DigitCensus.from_digits(digits, 1, base)
+        expect = {
+            (): [str(d) for d in digits],
+            ("--values",): [str(v) for v in spec.value_stream()],
+            ("--census",): ["digit,count"]
+            + [f"{d},{c}" for d, c in zip(census.support, census.counts)],
+        }
+        for mode, lines in expect.items():
+            for route in (
+                ["generate", kind, *flags, "--base", str(base)],
+                ["generate", "--config", str(config)],
+            ):
+                assert cli.main([*route, *mode]) == 0
+                assert capsys.readouterr().out.splitlines() == lines, (route, mode)
+
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("argv", [
+        ["--noise", "lognormal:0,nan"],
+        ["--noise", "constant:inf"],
+        ["--initial", "nan"],
+        ["--kind", "add", "--noise", "normal:inf,1"],
+        ["--noise", "uniform:0.5,inf"],
+    ])
+    def test_non_finite_input_errors(self, argv, capsys):
+        assert cli.main(["simulate", *argv, "--steps", "3", "--walkers", "5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+
     def test_constant_noise_flat_curve(self, capsys):
         code = cli.main(
             ["simulate", "--noise", "constant:10", "--steps", "5",

@@ -232,6 +232,13 @@ class TestSequenceSpec:
         assert list(spec.digit_stream()) == list(alpha_power_digits("1.007", 20))
         spec = SequenceSpec("power_n", {"k": 2, "n": 5}, base=16)
         assert list(spec.digit_stream()) == list(n_power_digits(2, 5, base=16))
+        spec = SequenceSpec("fibonacci", {"terms": 30}, base=16)
+        assert list(spec.digit_stream()) == list(fibonacci_digits(1, 1, 30, base=16))
+        spec = SequenceSpec("factorial", {"n": "40"})
+        assert list(spec.digit_stream()) == list(factorial_digits(40))
+        spec = SequenceSpec("pascal", {"rows": 9}, base=16)
+        assert list(spec.value_stream()) == list(pascal_values(9))
+        assert list(spec.digit_stream()) == list(pascal_digits(9, base=16))
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

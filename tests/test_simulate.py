@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from benfordkit.errors import DomainError, InvalidNoise
+from benfordkit.gof import tvd_benford
 from benfordkit.simulate import (
     NoiseSpec,
     ProcessSpec,
-    _census_from_logs,
+    _census,
     _exact_digits_from_replay,
     convergence_curve,
     curve_as_csv,
     curve_as_json,
-    d1_to_benford,
     iterate_states,
     recorded_steps,
     run_ensemble,
@@ -51,6 +51,19 @@ class TestNoiseSpec:
         with pytest.raises(InvalidNoise):
             NoiseSpec("uniform", (2.0, 1.0))
 
+    @pytest.mark.parametrize("text", [
+        "lognormal:0,nan", "lognormal:nan,1", "normal:inf,1", "normal:0,-inf",
+        "uniform:0.5,inf", "uniform:-inf,1", "constant:inf", "constant:nan",
+    ])
+    def test_non_finite_parameters(self, text):
+        with pytest.raises(InvalidNoise):
+            NoiseSpec.parse(text)
+
+    def test_uniform_width_must_be_finite(self):
+        # Both ends are finite but hi - lo overflows numpy's uniform draw.
+        with pytest.raises(InvalidNoise):
+            NoiseSpec("uniform", (-1e308, 1e308))
+
     def test_positivity(self):
         assert NoiseSpec("lognormal", (0.0, 1.0)).strictly_positive
         assert NoiseSpec("uniform", (0.5, 2.0)).strictly_positive
@@ -76,6 +89,26 @@ class TestProcessSpec:
             walkers=10,
         )
         assert len(run_ensemble(spec)) == 5
+
+    @pytest.mark.parametrize("kind", ["multiplicative", "additive"])
+    @pytest.mark.parametrize("initial", [math.nan, math.inf, -math.inf])
+    def test_non_finite_initial_value(self, kind, initial):
+        with pytest.raises(DomainError):
+            ProcessSpec(kind=kind, noise=NoiseSpec("constant", (2.0,)), steps=3,
+                        walkers=4, initial_value=initial)
+
+    def test_additive_overflow_is_excluded(self):
+        spec = ProcessSpec(kind="additive", noise=NoiseSpec("constant", (1e308,)),
+                           steps=3, walkers=4)
+        with np.errstate(over="ignore"):
+            series = run_ensemble(spec)
+            curve = convergence_curve(spec)
+        # Step 1 holds 1 + 1e308; from step 2 on every state is inf.
+        assert series[0][1].counts[0] == 4
+        for _, census in series[1:]:
+            assert census.sample_size == 0
+            assert census.exclusions == 4
+        assert [t for t, _ in curve] == [1]
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -209,7 +242,7 @@ class TestReplay:
                 counts[d - 1] += 1
             assert tuple(counts) == series[step].counts
             # And the float path agrees with the exact path walker by walker.
-            float_census = _census_from_logs(states[step], spec, step)
+            float_census = _census(states[step], spec, step)
             assert float_census == series[step]
 
     def test_replay_empty_index_set(self):
@@ -285,4 +318,4 @@ class TestD1:
         expect = 0.5 * sum(
             abs(f - math.log10(1 + 1 / d)) for d, f in zip(range(1, 10), freqs)
         )
-        assert d1_to_benford(census) == pytest.approx(expect, abs=1e-15)
+        assert tvd_benford(census) == pytest.approx(expect, abs=1e-15)
