@@ -154,15 +154,17 @@ def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
         return sequences.SequenceSpec.from_config(Path(args.config).read_text())
     if not args.kind:
         raise DomainError("generate needs a sequence kind or --config FILE")
-    kind = args.kind.replace("-", "_")
-    table = sequences._SERIES[kind].params
-    params = {name: getattr(args, name) for name, _, _ in table
+    # Every kind's flags go to the spec, which rejects those of other kinds.
+    params = {name: getattr(args, name)
+              for series in sequences._SERIES.values() for name, _, _ in series.params
               if getattr(args, name) is not None}
-    missing = [f"--{name}" for name, _, default in table
+    spec = sequences.SequenceSpec(kind=args.kind.replace("-", "_"), params=params,
+                                  base=args.base)
+    missing = [f"--{name}" for name, _, default in sequences._SERIES[spec.kind].params
                if default is None and name not in params]
     if missing:
         raise DomainError(f"{args.kind} requires {' and '.join(missing)}")
-    return sequences.SequenceSpec(kind=kind, params=params, base=args.base)
+    return spec
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -251,8 +251,8 @@ class SequenceSpec:
     """Parameters selecting one series generator.
 
     ``kind`` and the ``params`` keys it takes are those of the kind table
-    ``_SERIES`` in this module; values may be strings, as read from a
-    config file.
+    ``_SERIES`` in this module, and any other key is rejected; values may
+    be strings, as read from a config file.
     """
 
     kind: str
@@ -264,6 +264,13 @@ class SequenceSpec:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
         if self.base < 2:
             raise DomainError("base must be >= 2")
+        names = [name for name, _, _ in _SERIES[self.kind].params]
+        unknown = [key for key in self.params if key not in names]
+        if unknown:
+            raise DomainError(
+                f"{self.kind} takes no parameter {', '.join(map(repr, unknown))}"
+                f" (it takes {', '.join(names)})"
+            )
 
     def _arguments(self) -> list:
         params = _SERIES[self.kind].params

@@ -9,11 +9,13 @@ One classifier takes every census: it reads the leading digit off the
 fractional part of log_base(N) and flags walkers whose fractional part
 falls within a small guard band of a digit boundary. Flagged walkers are
 re-derived exactly, so boundary cases like a constant noise of exactly
-the base classify correctly instead of flapping on float rounding: a
-multiplicative walker by replaying its noise stream in 50-digit
-arithmetic, an additive walker from its stored double. Additive states
-that are not positive and finite have no leading digit and count as
-exclusions.
+the base classify correctly instead of flapping on float rounding. A
+multiplicative walker carries an exact sum of its ln(xi) from the step
+it is first flagged on (one replay of the stream catches it up), rounded
+once to 50 digits when read, so the cost stays linear in steps; an
+additive walker is read from its stored double. Additive states that are
+not positive and finite, and multiplicative states at or past 2**52 in
+log_base, have no exact leading digit and count as exclusions.
 
 Runs are deterministic per seed. The generator is counter-based
 (numpy's Philox, 4x64 with 10 rounds) and its name and the numpy version
@@ -25,10 +27,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import mpmath
 import numpy as np
+from mpmath.libmp import fzero, mpf_add
 
 from .errors import DomainError, EmptyCensus, InvalidNoise
 from .gof import DigitCensus, tvd_benford
@@ -38,6 +41,7 @@ PRNG_NAME = "numpy.random.Philox (4x64, 10 rounds)"
 BOUNDARY_GUARD = 1e-12
 _EXACT_DPS = 50
 _SNAP = mpmath.mpf("1e-38")
+_LOG_STATE_CAP = 2.0**52
 
 _FAMILIES = {"lognormal": 2, "normal": 2, "uniform": 2, "constant": 1}
 
@@ -194,10 +198,11 @@ def _log_increment_mp(raw_value, noise: NoiseSpec):
     return mpmath.log(mpmath.mpf(noise.params[0]))
 
 
-def _digit_from_fraction_mp(frac, base: int) -> int:
-    """Leading digit from an extended-precision fractional log, snapping
-    values within the snap tolerance of a boundary onto it."""
-    v = mpmath.power(base, frac)
+def _digit_from_log_mp(total, log_base, base: int) -> int:
+    """Leading digit of e**total from its extended-precision ln-value,
+    snapping values within the snap tolerance of a boundary onto it."""
+    x = total / log_base
+    v = mpmath.power(base, x - mpmath.floor(x))
     nearest = int(mpmath.nint(v))
     if 1 <= nearest <= base and abs(v - nearest) < _SNAP:
         return 1 if nearest == base else nearest
@@ -205,50 +210,75 @@ def _digit_from_fraction_mp(frac, base: int) -> int:
     return min(max(d, 1), base - 1)
 
 
-def _exact_digits_from_replay(
-    spec: ProcessSpec, step: int, indices: np.ndarray
-) -> dict[int, int]:
-    """Recompute flagged walkers' digits by replaying their noise stream
-    and summing ln(xi) at 50-digit precision."""
-    out: dict[int, int] = {}
-    if len(indices) == 0:
-        return out
-    with mpmath.workdps(_EXACT_DPS):
-        log_base = mpmath.log(spec.base)
-        if spec.noise.family == "constant":
-            # Every walker shares the same increment; no stream to replay.
-            total = (
-                mpmath.log(spec.initial_value)
-                + step * mpmath.log(mpmath.mpf(spec.noise.params[0]))
-            )
-            x = total / log_base
-            digit = _digit_from_fraction_mp(x - mpmath.floor(x), spec.base)
-            return {int(i): digit for i in indices}
+class _LogSums:
+    """Exact running sums of ln(xi) for the flagged walkers of one
+    multiplicative run.
 
-        rng = _generator(spec.seed)
-        draws: dict[int, list] = {int(i): [] for i in indices}
+    A sum is exact (libmp's add at precision 0 never rounds), so a
+    walker's total, ln(x0) plus its sum rounded once at _EXACT_DPS, is
+    what mpmath.fsum over its whole noise stream gives. `advance` adds
+    each step's term to every walker tracked so far; walkers flagged for
+    the first time at a step are caught up together by one replay of the
+    stream. Constant noise needs no sums: every total is ln(x0) + step * ln(c).
+    """
+
+    def __init__(self, spec: ProcessSpec) -> None:
+        self.spec = spec
+        self.sums: dict[int, tuple] = {}
+
+    def _add(self, sums: Iterable[tuple], raw: np.ndarray) -> list[tuple]:
+        noise = self.spec.noise
+        with mpmath.workdps(_EXACT_DPS):
+            return [mpf_add(s, _log_increment_mp(v, noise)._mpf_, 0)
+                    for s, v in zip(sums, raw.tolist())]
+
+    def advance(self, raw) -> None:
+        """Add one step's ln(xi) to every tracked walker's sum."""
+        if self.sums:
+            walkers = list(self.sums)
+            self.sums = dict(zip(walkers, self._add(self.sums.values(), raw[walkers])))
+
+    def _catch_up(self, walkers: list[int], step: int) -> None:
+        rng = _generator(self.spec.seed)
+        sums = [fzero] * len(walkers)
         for _ in range(step):
-            raw = _raw_step(rng, spec.noise, spec.walkers)
-            for i in draws:
-                draws[i].append(raw[i])
-        for i, values in draws.items():
-            total = mpmath.log(spec.initial_value) + mpmath.fsum(
-                _log_increment_mp(v, spec.noise) for v in values
-            )
-            x = total / log_base
-            out[i] = _digit_from_fraction_mp(x - mpmath.floor(x), spec.base)
-    return out
+            raw = _raw_step(rng, self.spec.noise, self.spec.walkers)
+            sums = self._add(sums, raw[walkers])
+        self.sums.update(zip(walkers, sums))
+
+    def digits(self, walkers: np.ndarray, step: int):
+        """Exact leading digits of `walkers` at `step`: one digit shared by
+        all of them for constant noise, else one per walker."""
+        spec = self.spec
+        with mpmath.workdps(_EXACT_DPS):
+            log_x0 = mpmath.log(spec.initial_value)
+            log_base = mpmath.log(spec.base)
+            if spec.noise.family == "constant":
+                total = log_x0 + step * mpmath.log(mpmath.mpf(spec.noise.params[0]))
+                return _digit_from_log_mp(total, log_base, spec.base)
+            walkers = walkers.tolist()
+            new = [i for i in walkers if i not in self.sums]
+            if new:
+                self._catch_up(new, step)
+            return [_digit_from_log_mp(log_x0 + mpmath.mpf(self.sums[i]), log_base,
+                                       spec.base) for i in walkers]
 
 
-def _census(state: np.ndarray, spec: ProcessSpec, step: int) -> DigitCensus:
+def _census(
+    state: np.ndarray, spec: ProcessSpec, step: int, sums: _LogSums
+) -> DigitCensus:
     """First-digit census of the walkers' states at one recorded step.
 
-    Multiplicative states are ln-values; additive states are the values,
-    of which those that are not positive and finite are excluded. Digits
-    come from the fractional part of log_base; a walker within
-    BOUNDARY_GUARD of a digit boundary is resolved exactly: by replaying
-    its noise for a multiplicative run, from its stored double for an
-    additive one.
+    Multiplicative states are ln-values; additive states are the values.
+    Digits come from the fractional part of log_base; a walker within
+    BOUNDARY_GUARD of a digit boundary is resolved exactly: from its exact
+    log-sum in `sums` for a multiplicative run, from its stored double for
+    an additive one. Walkers without a resolvable digit are excluded:
+    additive states that are not positive and finite, and multiplicative
+    states whose log_base is not finite or is at least 2**52 in magnitude.
+    Past that cap a double keeps no fractional bits of log_base, and the
+    50-digit total keeps too few for the boundary snap, so no digit
+    would be exact.
     """
     base = spec.base
     multiplicative = spec.kind == "multiplicative"
@@ -257,57 +287,73 @@ def _census(state: np.ndarray, spec: ProcessSpec, step: int) -> DigitCensus:
     else:
         state = state[(state > 0) & (state < np.inf)]
         x = np.log(state) / math.log(base)
-    frac = x - np.floor(x)
-    digits = np.floor(base**frac).astype(np.int64)
+    # An infinite or nan state gives a nan frac and a meaningless digit.
+    with np.errstate(invalid="ignore"):
+        frac = x - np.floor(x)
+        digits = np.floor(base**frac).astype(np.int64)
     np.clip(digits, 1, base - 1, out=digits)
 
-    # Distance from frac to the log-boundaries enclosing its digit.
+    # Distance from frac to the log-boundaries enclosing its digit; a nan
+    # distance counts as inside the guard band.
     bounds = np.log(np.arange(1, base + 1)) / math.log(base)
     lo_gap = frac - bounds[digits - 1]
     hi_gap = bounds[digits] - frac
-    flagged = np.nonzero((lo_gap < BOUNDARY_GUARD) | (hi_gap < BOUNDARY_GUARD))[0]
+    flagged = np.nonzero(~((lo_gap >= BOUNDARY_GUARD) & (hi_gap >= BOUNDARY_GUARD)))[0]
     if multiplicative:
-        for i, d in _exact_digits_from_replay(spec, step, flagged).items():
-            digits[i] = d
+        # A state past the cap has frac 0 or nan, so it is flagged; its
+        # digit becomes 0, which the count below drops.
+        past_cap = ~(np.abs(x[flagged]) < _LOG_STATE_CAP)
+        digits[flagged[past_cap]] = 0
+        flagged = flagged[~past_cap]
+        if len(flagged):
+            digits[flagged] = sums.digits(flagged, step)
     else:
         for i in flagged:
             # The stored double is the exact state here; classify it exactly.
             num, den = float(state[i]).as_integer_ratio()
             digits[i] = extract_digits_rational(num, den, 1, base).first
 
-    counts = np.bincount(digits, minlength=base)[1:base]
-    excluded = spec.walkers - len(state)
-    return DigitCensus(1, base, tuple(int(c) for c in counts), excluded)
+    counts = tuple(int(c) for c in np.bincount(digits, minlength=base)[1:base])
+    return DigitCensus(1, base, counts, spec.walkers - sum(counts))
 
 
-def iterate_states(spec: ProcessSpec) -> Iterable[tuple[int, np.ndarray]]:
+def _walk(spec: ProcessSpec, each_step: Callable) -> Iterator[tuple[int, np.ndarray]]:
+    """The one walk loop: hands every step's raw draws to `each_step` and
+    yields (step, state vector) at each recorded step."""
+    record = set(recorded_steps(spec))
+    rng = _generator(spec.seed)
+    if spec.kind == "multiplicative":
+        update = _log_increments
+        state = np.full(spec.walkers, math.log(spec.initial_value))
+    else:
+        update = _increments
+        state = np.full(spec.walkers, float(spec.initial_value))
+    for t in range(1, spec.steps + 1):
+        raw = _raw_step(rng, spec.noise, spec.walkers)
+        # Overflowing states become inf or nan; the census excludes them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = state + update(raw, spec.noise, spec.walkers)
+        each_step(raw)
+        if t in record:
+            yield t, state
+
+
+def iterate_states(spec: ProcessSpec) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (step, state vector) at each recorded step.
 
     Multiplicative states are ln-values; additive states are the values
     themselves. With identical seeds, a multiplicative run's states equal
     an additive run's states driven by ln(xi) walker-for-walker.
     """
-    record = set(recorded_steps(spec))
-    rng = _generator(spec.seed)
-    multiplicative = spec.kind == "multiplicative"
-    if multiplicative:
-        state = np.full(spec.walkers, math.log(spec.initial_value))
-    else:
-        state = np.full(spec.walkers, float(spec.initial_value))
-    for t in range(1, spec.steps + 1):
-        raw = _raw_step(rng, spec.noise, spec.walkers)
-        if multiplicative:
-            state = state + _log_increments(raw, spec.noise, spec.walkers)
-        else:
-            state = state + _increments(raw, spec.noise, spec.walkers)
-        if t in record:
-            yield t, state
+    return _walk(spec, lambda raw: None)
 
 
 def run_ensemble(spec: ProcessSpec) -> list[tuple[int, DigitCensus]]:
     """Simulate the ensemble, returning the first-digit census at each
     recorded step. Identical specs (seed included) give identical output."""
-    return [(t, _census(state, spec, t)) for t, state in iterate_states(spec)]
+    sums = _LogSums(spec)
+    return [(t, _census(state, spec, t, sums))
+            for t, state in _walk(spec, sums.advance)]
 
 
 def run_ensemble_partitioned(

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from benfordkit.datasets import constants_sample_path
 from benfordkit.gof import DigitCensus
 from benfordkit.sequences import prime_values
 
+ROOT = Path(__file__).resolve().parent.parent
 TABLE4_COUNTS = (63, 37, 18, 15, 15, 13, 7, 7, 8)
 
 
@@ -234,6 +239,26 @@ class TestGenerateCommand:
         assert cli.main(["generate", "fibonacci"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_config_typo_errors(self, tmp_path, capsys):
+        config = tmp_path / "series.cfg"
+        config.write_text("fibonacci\nterms = 5\na_1 = 3\n")
+        assert cli.main(["generate", "--config", str(config)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: fibonacci takes no parameter 'a_1'"
+                           " (it takes a1, a2, terms)\n")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["primes", "--below", "10", "--rows", "3"], "rows"),
+        (["pascal", "--rows", "4", "--a1", "2"], "a1"),
+        (["factorial", "--n", "5", "--terms", "3"], "terms"),
+    ])
+    def test_foreign_flag_errors(self, argv, key, capsys):
+        assert cli.main(["generate", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {argv[0]} takes no parameter '{key}'")
+
     def test_no_kind_errors(self, capsys):
         assert cli.main(["generate"]) == 1
         capsys.readouterr()
@@ -361,6 +386,25 @@ class TestSimulateCommand:
         assert [float(r.split(",")[1]) for r in rows] == [
             entry["d1"] for entry in payload["curve"]
         ]
+
+    @pytest.mark.parametrize("argv, rows", [
+        # Huge multiplicative states have no digit at any step.
+        (["--noise", "lognormal:1e308,0"], 0),
+        (["--noise", "lognormal:1e300,0"], 0),
+        # Additive states overflow to inf after step 1.
+        (["--kind", "add", "--noise", "constant:1e308"], 1),
+    ])
+    def test_overflowing_states_print_no_warnings(self, argv, rows):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "benfordkit.cli", "simulate", *argv,
+             "--steps", "3", "--walkers", "5"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[lines.index("step,d1") + 1:] == ["1,0.698970004336"][:rows]
 
     def test_invalid_noise_errors(self, capsys):
         assert cli.main(["simulate", "--noise", "normal:0,1"]) == 1

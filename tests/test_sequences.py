@@ -248,6 +248,19 @@ class TestSequenceSpec:
         with pytest.raises(DomainError):
             list(SequenceSpec("primes", {}).digit_stream())
 
+    @pytest.mark.parametrize("kind, params, key", [
+        ("fibonacci", {"terms": 5, "a_1": 3}, "a_1"),
+        ("primes", {"below": 10, "rows": 3}, "rows"),
+        ("power_alpha", {"alpha": "1.5", "n": 3, "k": 2}, "k"),
+    ])
+    def test_unknown_parameter_named(self, kind, params, key):
+        with pytest.raises(DomainError, match=f"{kind} takes no parameter '{key}'"):
+            SequenceSpec(kind, params)
+
+    def test_config_typo_rejected(self):
+        with pytest.raises(DomainError, match="'a_1'"):
+            SequenceSpec.from_config("fibonacci\nterms = 5\na_1 = 3\n")
+
     def test_from_config(self):
         text = """
         # series selection

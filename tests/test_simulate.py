@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+import replay_oracle
 
+from benfordkit import cli, simulate
 from benfordkit.errors import DomainError, InvalidNoise
 from benfordkit.gof import tvd_benford
 from benfordkit.simulate import (
     NoiseSpec,
     ProcessSpec,
     _census,
-    _exact_digits_from_replay,
+    _LogSums,
     convergence_curve,
     curve_as_csv,
     curve_as_json,
@@ -162,6 +164,14 @@ class TestConstantNoise:
         for _, census in run_ensemble(spec):
             assert census.counts == (50,) + (0,) * 8
 
+    @pytest.mark.parametrize("base, steps", [(2, 12), (16, 12), (2, 150), (10, 150),
+                                             (16, 150)])
+    def test_constant_base_multiplier_other_bases_and_checkpoints(self, base, steps):
+        spec = mult_spec(noise=NoiseSpec("constant", (float(base),)), steps=steps,
+                         walkers=7, base=base)
+        for _, census in run_ensemble(spec):
+            assert census.counts == (7,) + (0,) * (base - 2)
+
     def test_point_mass_curve_value(self):
         # All mass on digit 1 gives d1 = 1 - log10(2) by direct evaluation.
         spec = mult_spec(noise=NoiseSpec("constant", (10.0,)), steps=6, walkers=20)
@@ -236,17 +246,104 @@ class TestReplay:
         # Recompute every walker's digit by the extended-precision route.
         states = dict(iterate_states(spec))
         for step in (1, 4):
-            exact = _exact_digits_from_replay(spec, step, np.arange(16))
+            exact = replay_oracle.exact_digits_from_replay(spec, step, np.arange(16))
             counts = [0] * 9
             for d in exact.values():
                 counts[d - 1] += 1
             assert tuple(counts) == series[step].counts
             # And the float path agrees with the exact path walker by walker.
-            float_census = _census(states[step], spec, step)
+            float_census = _census(states[step], spec, step, _LogSums(spec))
             assert float_census == series[step]
 
     def test_replay_empty_index_set(self):
-        assert _exact_digits_from_replay(mult_spec(), 3, np.array([], dtype=int)) == {}
+        assert replay_oracle.exact_digits_from_replay(
+            mult_spec(), 3, np.array([], dtype=int)) == {}
+
+
+class TestBoundaryRegressions:
+    def test_sigma_zero_lognormal_at_ln_ten(self, capsys):
+        assert cli.main(["simulate", "--noise", "lognormal:2.302585092994046,0",
+                         "--steps", "50", "--walkers", "50", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = lines[lines.index("step,d1") + 1:]
+        assert rows == [f"{t},0.698970004336" for t in range(1, 51)]
+
+    def test_identical_seeds_bit_identical_near_boundary(self):
+        noise = NoiseSpec("lognormal", (2.302585092994046, 1e-12))
+        spec = mult_spec(noise=noise, steps=120, walkers=12, seed=3)
+        a = run_ensemble(spec)
+        assert a == run_ensemble(mult_spec(noise=noise, steps=120, walkers=12, seed=3))
+        assert a == replay_oracle.run_ensemble(spec)
+
+
+class TestBoundaryCost:
+    """The exact path costs one catch-up replay per recorded step with newly
+    flagged walkers, and one ln(xi) term per tracked walker per step."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(simulate, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulate, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("noise, steps", [
+        (NoiseSpec("lognormal", (2.302585092994046 / 3, 3e-12)), 40),
+        (NoiseSpec("lognormal", (2.302585092994046, 3e-12)), 160),
+        (NoiseSpec("uniform", (10.0 - 3e-11, 10.0 + 3e-11)), 60),
+    ])
+    def test_catch_ups_and_terms(self, noise, steps, monkeypatch):
+        spec = mult_spec(noise=noise, steps=steps, walkers=30, seed=9)
+        replay = replay_oracle.ReplaySums(spec)
+        expect = replay_oracle.run_ensemble(spec, replay)
+        first: dict[int, int] = {}
+        for step, walkers in sorted(replay.flagged.items()):
+            for i in walkers:
+                first.setdefault(i, step)
+        new_steps = set(first.values())
+        assert len(new_steps) >= 2
+
+        generators = self._count(monkeypatch, "_generator")
+        terms = self._count(monkeypatch, "_log_increment_mp")
+        assert run_ensemble(spec) == expect
+        # One generator for the walk, at most one per step with new walkers.
+        assert len(generators) - 1 <= len(new_steps)
+        # Each tracked walker gets each step's term once: linear in steps.
+        assert len(terms) == len(first) * spec.steps
+
+    def test_constant_noise_replays_nothing(self, monkeypatch):
+        generators = self._count(monkeypatch, "_generator")
+        terms = self._count(monkeypatch, "_log_increment_mp")
+        spec = mult_spec(noise=NoiseSpec("constant", (10.0,)), steps=150, walkers=30)
+        assert all(c.counts[0] == 30 for _, c in run_ensemble(spec))
+        assert len(generators) == 1
+        assert terms == []
+
+
+class TestHugeStates:
+    @pytest.mark.parametrize("mu", [1e300, 1e308])
+    def test_huge_multiplicative_states_are_excluded(self, mu):
+        spec = mult_spec(noise=NoiseSpec("lognormal", (mu, 0.0)), steps=3, walkers=5)
+        for _, census in run_ensemble(spec):
+            assert census.sample_size == 0
+            assert census.exclusions == 5
+        assert convergence_curve(spec) == []
+
+    def test_cap_on_log_base_state(self):
+        spec = mult_spec(walkers=6)
+        ln10 = math.log(10)
+        # log10 states: 2**51 + 0.5 and -(2**51) + 0.25 keep their
+        # fractional bits; 2**52, -(2**53), inf and nan do not.
+        state = np.array([(2.0**51 + 0.5) * ln10, (-(2.0**51) + 0.25) * ln10,
+                          2.0**52 * ln10, -(2.0**53) * ln10, math.inf, math.nan])
+        census = _census(state, spec, 1, _LogSums(spec))
+        assert census.sample_size == 2
+        assert census.exclusions == 4
 
 
 class TestPartitioned:
