@@ -158,13 +158,8 @@ def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
     params = {name: getattr(args, name)
               for series in sequences._SERIES.values() for name, _, _ in series.params
               if getattr(args, name) is not None}
-    spec = sequences.SequenceSpec(kind=args.kind.replace("-", "_"), params=params,
+    return sequences.SequenceSpec(kind=args.kind.replace("-", "_"), params=params,
                                   base=args.base)
-    missing = [f"--{name}" for name, _, default in sequences._SERIES[spec.kind].params
-               if default is None and name not in params]
-    if missing:
-        raise DomainError(f"{args.kind} requires {' and '.join(missing)}")
-    return spec
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -253,13 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except BenfordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (BenfordError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

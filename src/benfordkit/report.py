@@ -58,8 +58,6 @@ def build_report(
     census: DigitCensus,
     input_descriptor: str = "",
     policy_description: Optional[dict] = None,
-    seed: Optional[int] = None,
-    extra_meta: Optional[dict] = None,
 ) -> ReportDocument:
     """Assemble the document for a census.
 
@@ -87,13 +85,11 @@ def build_report(
         "policy": policy_description or {},
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
-        "seed": seed,
+        "seed": None,  # kept in the schema; a report draws nothing at random
         "position": census.position,
         "base": census.base,
         "digits": list(census.support),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     return ReportDocument(meta=meta, census=census, gof=gof, histogram=tuple(rows))
 
 

@@ -6,10 +6,11 @@ of thousands of terms never materialize the underlying big integers.
 
 The geometric series alpha**n is the delicate one: terms can sit next to
 digit boundaries d * base**k, where any floating-point shortcut can
-misclassify. It runs on a truncated-product interval (60 significant
-decimal digits with tracked floor/ceil error); a digit is emitted only
-once both interval endpoints agree on it, and the rare uncertified term
-falls back to exact big-rational powering.
+misclassify. It runs on a truncated-product interval held in the output
+base (at least 60 significant decimal digits' worth, with tracked
+floor/ceil error), so the leading digit is one integer division in every
+base; a digit is emitted only once both interval endpoints agree on it,
+and the rare uncertified term falls back to exact big-rational powering.
 """
 
 from __future__ import annotations
@@ -136,54 +137,48 @@ def alpha_power_values(alpha: AlphaLike, n_max: int) -> Iterator[Fraction]:
 
 
 class _ProductInterval:
-    """Running truncated product bracketing alpha**n.
+    """Running truncated product bracketing alpha**n in the output base.
 
-    Keeps lo <= alpha**n / 10**shift <= hi with lo held at PRODUCT_DIGITS
-    decimal digits. Floor/ceil division widens the bracket by at most one
-    unit in the last digit per step, so after desk-scale runs the bracket
-    is still dozens of digits tighter than any first-digit decision needs.
+    Keeps lo <= unit * alpha**n / base**shift <= hi for an implicit integer
+    shift, with lo in [unit, base*unit) and unit = 10**(PRODUCT_DIGITS - 1)
+    standing for 1. The leading base digit of alpha**n is then lo // unit
+    whenever hi agrees on it. Floor/ceil division widens the bracket by at
+    most one in its last place per step, so after desk-scale runs the
+    bracket is still dozens of digits tighter than any first-digit decision
+    needs. When alpha and the base are powers of one integer (16 or 4 in
+    base 16), both endpoints stay unit times a power of it, exactly.
     """
 
-    __slots__ = ("p", "q", "lo", "hi", "shift")
+    __slots__ = ("p", "q", "base", "unit", "lo", "hi")
 
-    def __init__(self, p: int, q: int):
-        self.p = p
-        self.q = q
-        self.lo = self.hi = 10 ** (PRODUCT_DIGITS - 1)
-        self.shift = -(PRODUCT_DIGITS - 1)
+    def __init__(self, p: int, q: int, base: int):
+        self.p, self.q, self.base = p, q, base
+        self.unit = self.lo = self.hi = 10 ** (PRODUCT_DIGITS - 1)
 
     def step(self) -> None:
-        p, q = self.p, self.q
-        self.lo = (self.lo * p) // q
-        self.hi = -((-self.hi * p) // q)
-        excess = len(str(self.lo)) - PRODUCT_DIGITS
-        if excess > 0:
-            scale = 10**excess
-            self.lo //= scale
-            self.hi = -((-self.hi) // scale)
-            self.shift += excess
+        base, top = self.base, self.base * self.unit
+        lo = (self.lo * self.p) // self.q
+        hi = -((-self.hi * self.p) // self.q)
+        if lo >= top:
+            # Drop whole base digits: a bit-length estimate of their count
+            # (at least one short before rounding, so a float slip cannot
+            # overshoot) in one division, then single digits. Nested floor
+            # (and ceil) divisions compose exactly, so the bracket is the
+            # one a single division would give.
+            excess = int((lo.bit_length() - top.bit_length() - 1) / math.log2(base))
+            if excess > 0:
+                scale = base**excess
+                lo //= scale
+                hi = -((-hi) // scale)
+            while lo >= top:
+                lo //= base
+                hi = -((-hi) // base)
+        self.lo, self.hi = lo, hi
 
-    def certified_digit(self, base: int) -> int | None:
+    def certified_digit(self) -> int | None:
         """Leading base digit if both endpoints agree on it, else None."""
-        if base == 10:
-            lo_s, hi_s = str(self.lo), str(self.hi)
-            if len(lo_s) == len(hi_s) and lo_s[0] == hi_s[0]:
-                return int(lo_s[0])
-            return None
-        lo_sig = _leading_of_scaled(self.lo, self.shift, base)
-        hi_sig = _leading_of_scaled(self.hi, self.shift, base)
-        if lo_sig == hi_sig:
-            return lo_sig[0]
-        return None
-
-
-def _leading_of_scaled(mantissa: int, shift: int, base: int) -> tuple[int, int]:
-    """(leading digit, exponent) of mantissa * 10**shift in ``base``."""
-    if shift >= 0:
-        sig = extract_digits_rational(mantissa * 10**shift, 1, 1, base)
-    else:
-        sig = extract_digits_rational(mantissa, 10**-shift, 1, base)
-    return sig.first, sig.exponent
+        d = self.lo // self.unit
+        return d if self.hi // self.unit == d else None
 
 
 def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator[int]:
@@ -197,12 +192,12 @@ def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator
         raise DomainError("n_max must be >= 1")
     if base < 2:
         raise DomainError("base must be >= 2")
-    interval = _ProductInterval(a.numerator, a.denominator)
+    interval = _ProductInterval(a.numerator, a.denominator, base)
 
     def gen() -> Iterator[int]:
         for n in range(1, n_max + 1):
             interval.step()
-            d = interval.certified_digit(base)
+            d = interval.certified_digit()
             if d is None:
                 d = _exact_alpha_digit(a, n, base)
             yield d
@@ -277,7 +272,8 @@ class SequenceSpec:
         missing = [name for name, _, default in params
                    if default is None and name not in self.params]
         if missing:
-            raise DomainError(f"{self.kind} requires {', '.join(missing)}")
+            flags = " and ".join(f"--{name}" for name in missing)
+            raise DomainError(f"{self.kind.replace('_', '-')} requires {flags}")
         return [convert(self.params[name]) if name in self.params else default
                 for name, convert, default in params]
 

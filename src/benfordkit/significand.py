@@ -83,7 +83,8 @@ class ExactDecimal:
     def as_fraction(self) -> Fraction:
         """The exact rational value."""
         scale = self.exponent - len(self.digits)
-        mantissa = self.sign * int(self.digits)
+        # Through Decimal: int(str) refuses more than 4300 digits.
+        mantissa = self.sign * int(Decimal(self.digits))
         if scale >= 0:
             return Fraction(mantissa * 10**scale)
         return Fraction(mantissa, 10**-scale)
@@ -95,7 +96,7 @@ class ExactDecimal:
     @classmethod
     def from_int(cls, value: int) -> "ExactDecimal":
         sign = -1 if value < 0 else 1
-        return parse_token(str(abs(value)))._replace_sign(sign)
+        return parse_token(str(Decimal(abs(value))))._replace_sign(sign)
 
     @classmethod
     def from_float(cls, value: float) -> "ExactDecimal":

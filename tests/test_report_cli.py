@@ -164,6 +164,20 @@ class TestAnalyzeCommand:
         assert doc["counts"] == [1, 1, 1, 0, 0, 0, 0, 0, 1]
         assert doc["exclusions"] == 1
 
+    @pytest.mark.parametrize("base, counts", [
+        (10, [1, 1, 1, 0, 0, 0, 0, 0, 0]),
+        (16, [0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]),
+    ])
+    def test_mantissas_past_str_digit_limit(self, base, counts, tmp_path, capsys):
+        # int() of a token's digit text is refused past 4300 digits; the
+        # non-decimal bases read the value through Decimal instead.
+        data = tmp_path / "long.txt"
+        data.write_text(f"1{'0' * 4999} 3{'0' * 5000}.25 2.5")
+        code = cli.main(["analyze", str(data), "--base", str(base), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code in (0, 2)
+        assert doc["counts"] == counts
+
     def test_deep_position_has_expected_marginal(self, tmp_path, capsys):
         data = tmp_path / "vals.txt"
         data.write_text("123456789 987654321.5 1.0000000005")
@@ -238,6 +252,23 @@ class TestGenerateCommand:
     def test_missing_parameter_errors(self, capsys):
         assert cli.main(["generate", "fibonacci"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("fibonacci\na1 = 2\n", ["fibonacci", "--a1", "2"],
+         "fibonacci requires --terms"),
+        ("power-alpha\nn = 3\n", ["power-alpha", "--n", "3"],
+         "power-alpha requires --alpha"),
+        ("kind = power_n\n", ["power-n"], "power-n requires --k and --n"),
+    ])
+    def test_missing_parameter_same_message_from_config(self, text, argv, message,
+                                                        tmp_path, capsys):
+        config = tmp_path / "series.cfg"
+        config.write_text(text)
+        for args in (["--config", str(config)], argv):
+            assert cli.main(["generate", *args]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: {message}\n"
 
     def test_config_typo_errors(self, tmp_path, capsys):
         config = tmp_path / "series.cfg"

@@ -5,6 +5,7 @@ from itertools import islice
 
 import pytest
 
+from benfordkit import sequences
 from benfordkit.errors import DomainError
 from benfordkit.sequences import (
     DEFAULT_FIBONACCI_SEEDS,
@@ -172,6 +173,54 @@ class TestAlphaPower:
         assert values[4] == Fraction(1007, 1000) ** 5
 
 
+class TestAlphaPowerBracket:
+    """The truncated-product bracket is held in the output base, so the
+    exact fallback fires only where the bracket cannot decide."""
+
+    @staticmethod
+    def _count_fallbacks(monkeypatch):
+        calls = []
+        exact = sequences._exact_alpha_digit
+
+        def counting(alpha, n, base):
+            calls.append(n)
+            return exact(alpha, n, base)
+
+        monkeypatch.setattr(sequences, "_exact_alpha_digit", counting)
+        return calls
+
+    @pytest.mark.parametrize("alpha, base", [(16, 16), (2, 2), (8, 2), (1000, 10)])
+    def test_exact_base_powers_never_fall_back(self, alpha, base, monkeypatch):
+        calls = self._count_fallbacks(monkeypatch)
+        digits = list(alpha_power_digits(alpha, 300, base))
+        assert calls == []
+        assert digits == [digit_of_fraction(x, base)
+                          for x in alpha_power_values(alpha, 300)]
+
+    def test_forced_fallback_stays_exact(self, monkeypatch):
+        # A 3-digit bracket cannot decide most terms; every digit must still
+        # come out exact, through the fallback.
+        monkeypatch.setattr(sequences, "PRODUCT_DIGITS", 3)
+        calls = self._count_fallbacks(monkeypatch)
+        for alpha, base in (("1.007", 10), ("3/2", 7)):
+            calls.clear()
+            digits = list(alpha_power_digits(alpha, 300, base))
+            assert len(calls) >= 100
+            assert digits == [digit_of_fraction(x, base)
+                              for x in alpha_power_values(alpha, 300)]
+
+    @pytest.mark.parametrize("base", [2, 7])
+    def test_huge_alpha_needs_no_base_conversion(self, base, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("extract_digits_rational called")
+
+        monkeypatch.setattr(sequences, "extract_digits_rational", refuse)
+        digits = list(alpha_power_digits(10**300 + 7, 100, base))
+        monkeypatch.undo()
+        assert digits == [digit_of_fraction(x, base)
+                          for x in alpha_power_values(10**300 + 7, 100)]
+
+
 class TestSampledDigitConsistency:
     """Every generator's digits match exact extraction on independently
     recomputed values at 100 random indices."""
@@ -245,8 +294,10 @@ class TestSequenceSpec:
             SequenceSpec("lucas", {})
 
     def test_missing_parameter(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^primes requires --below$"):
             list(SequenceSpec("primes", {}).digit_stream())
+        with pytest.raises(DomainError, match="^power-n requires --k and --n$"):
+            SequenceSpec("power_n", {}).value_stream()
 
     @pytest.mark.parametrize("kind, params, key", [
         ("fibonacci", {"terms": 5, "a_1": 3}, "a_1"),

@@ -364,6 +364,21 @@ class TestHelpers:
         assert ExactDecimal.from_int(-129).as_fraction() == -129
         assert ExactDecimal.from_int(0).is_zero
 
+    def test_past_str_digit_limit(self):
+        # CPython refuses int <-> str past 4300 digits; these go through
+        # Decimal, which has no such limit.
+        big = 7 * 10**5000 + 3
+        value = ExactDecimal.from_int(-big)
+        assert (value.sign, len(value.digits), value.exponent) == (-1, 5001, 5001)
+        assert value.as_fraction() == -big
+        assert ExactDecimal(1, "9" * 5000, 2).as_fraction() == Fraction(10**5000 - 1, 10**4998)
+        for base in (10, 16, 7):
+            census = build_census([10**5000, -big], 1, base)
+            counts = [0] * (base - 1)
+            for v in (10**5000, big):
+                counts[extract_digits_bigint(v, 1, base).first - 1] += 1
+            assert census.counts == tuple(counts)
+
     def test_str_rendering(self):
         assert str(parse_token("0.150")) == "0.150"
         assert str(parse_token("129")) == "129"
