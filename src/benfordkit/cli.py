@@ -150,14 +150,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
-    if args.config:
-        return sequences.SequenceSpec.from_config(Path(args.config).read_text())
-    if not args.kind:
-        raise DomainError("generate needs a sequence kind or --config FILE")
     # Every kind's flags go to the spec, which rejects those of other kinds.
     params = {name: getattr(args, name)
               for series in sequences._SERIES.values() for name, _, _ in series.params
               if getattr(args, name) is not None}
+    if args.config:
+        if args.kind or params:
+            raise DomainError("generate --config FILE takes no kind and no series flag")
+        return sequences.SequenceSpec.from_config(Path(args.config).read_text())
+    if not args.kind:
+        raise DomainError("generate needs a sequence kind or --config FILE")
     return sequences.SequenceSpec(kind=args.kind.replace("-", "_"), params=params,
                                   base=args.base)
 
@@ -170,12 +172,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         for digit, count in zip(census.support, census.counts):
             print(f"{digit},{count}")
         return EXIT_OK
-    if args.values:
-        for value in spec.value_stream():
-            print(value)
-        return EXIT_OK
-    for digit in spec.digit_stream():
-        print(digit)
+    for item in spec.value_stream() if args.values else spec.digit_stream():
+        print(item)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .significand import extract_digits_rational, first_digit
+from .significand import _exponent_below, extract_digits_rational, first_digit
 
 PRIME_BOUND_CAP = 10**8
 PRODUCT_DIGITS = 60
@@ -160,12 +160,11 @@ class _ProductInterval:
         lo = (self.lo * self.p) // self.q
         hi = -((-self.hi * self.p) // self.q)
         if lo >= top:
-            # Drop whole base digits: a bit-length estimate of their count
-            # (at least one short before rounding, so a float slip cannot
-            # overshoot) in one division, then single digits. Nested floor
-            # (and ceil) divisions compose exactly, so the bracket is the
-            # one a single division would give.
-            excess = int((lo.bit_length() - top.bit_length() - 1) / math.log2(base))
+            # Drop whole base digits: a lower bound on their count from the
+            # bit lengths (lo / top > 2**(difference - 1)) in one division,
+            # then single digits. Nested floor (and ceil) divisions compose
+            # exactly, so the bracket is the one a single division would give.
+            excess = _exponent_below(lo.bit_length() - top.bit_length() - 1, base)
             if excess > 0:
                 scale = base**excess
                 lo //= scale
@@ -268,14 +267,20 @@ class SequenceSpec:
             )
 
     def _arguments(self) -> list:
-        params = _SERIES[self.kind].params
-        missing = [name for name, _, default in params
+        kind, params = self.kind.replace("_", "-"), _SERIES[self.kind].params
+        missing = [f"--{name}" for name, _, default in params
                    if default is None and name not in self.params]
         if missing:
-            flags = " and ".join(f"--{name}" for name in missing)
-            raise DomainError(f"{self.kind.replace('_', '-')} requires {flags}")
-        return [convert(self.params[name]) if name in self.params else default
-                for name, convert, default in params]
+            raise DomainError(f"{kind} requires {' and '.join(missing)}")
+        arguments = []
+        for name, convert, default in params:
+            value = self.params.get(name, default)
+            try:
+                arguments.append(convert(value))
+            except (ValueError, ZeroDivisionError):
+                what = "an integer" if convert is int else "a ratio"
+                raise DomainError(f"{kind} --{name}: not {what}: {value!r}") from None
+        return arguments
 
     def digit_stream(self) -> Iterator[int]:
         return _SERIES[self.kind].digits(*self._arguments(), self.base)

@@ -2,20 +2,21 @@
 
 Numeric tokens are kept as exact decimal records (sign, digit string,
 power-of-ten exponent), so digit extraction never rounds. Base 10 reads
-the significant digits straight off the stored digit string, so its cost
-depends on the token's length and never on its exponent. Conversion to a
-non-decimal base runs on integer scalings of the value; no floating-point
-logarithm decides a digit anywhere, which is what makes boundary values
-such as exact powers of the base come out right by construction.
+them off the stored digit string, at a cost set by the token's length and
+never by its exponent; other bases run on integer scalings of the value,
+and integers in any base on one division by a cached power of the base.
+No float decides a digit, so exact powers of the base come out right.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, MalformedToken, ZeroValue
 
@@ -24,31 +25,22 @@ from .errors import DomainError, MalformedToken, ZeroValue
 # zero-padding applied to short mantissas.
 MAX_EXTRACT_DIGITS = 18
 
-_TOKEN_PLAIN = re.compile(
-    r"""
-    [+-]?
-    (?:
-        (?P<int>\d+) (?: \. (?P<frac>\d+) )?
-      | \. (?P<lone_frac>\d+)
+# One grammar, compiled twice: the grouped form also takes an integer part
+# written in comma-grouped form ("2,300"), its alternatives ordered so that
+# form wins when it applies.
+_TOKEN_PLAIN, _TOKEN_GROUPED = (
+    re.compile(
+        rf"""
+        [+-]?
+        (?:
+            (?P<int>{integer}) (?: \. (?P<frac>\d+) )?
+          | \. (?P<lone_frac>\d+)
+        )
+        (?: [eE] (?P<exp>[+-]?\d+) )?
+        """,
+        re.VERBOSE,
     )
-    (?: [eE] (?P<exp>[+-]?\d+) )?
-    """,
-    re.VERBOSE,
-)
-
-# Same grammar with the integer part optionally written in comma-grouped
-# form ("2,300"). Group alternatives are ordered so the grouped form wins
-# when it applies.
-_TOKEN_GROUPED = re.compile(
-    r"""
-    [+-]?
-    (?:
-        (?P<int>\d{1,3}(?:,\d{3})+|\d+) (?: \. (?P<frac>\d+) )?
-      | \. (?P<lone_frac>\d+)
-    )
-    (?: [eE] (?P<exp>[+-]?\d+) )?
-    """,
-    re.VERBOSE,
+    for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+")
 )
 
 
@@ -95,17 +87,13 @@ class ExactDecimal:
 
     @classmethod
     def from_int(cls, value: int) -> "ExactDecimal":
-        sign = -1 if value < 0 else 1
-        return parse_token(str(Decimal(abs(value))))._replace_sign(sign)
+        return parse_token(str(Decimal(value)))
 
     @classmethod
     def from_float(cls, value: float) -> "ExactDecimal":
         if not math.isfinite(value):
             raise MalformedToken(f"non-finite float {value!r}")
         return parse_token(repr(value))
-
-    def _replace_sign(self, sign: int) -> "ExactDecimal":
-        return ExactDecimal(sign, self.digits, self.exponent)
 
     def __str__(self) -> str:
         dec = Decimal(
@@ -180,18 +168,21 @@ def format_token(value: ExactDecimal) -> str:
     return f"{sign}.{value.digits}e{value.exponent}"
 
 
+def _exponent_below(bits: int, base: int) -> int:
+    # floor(bits * log_base(2)) is the largest e with base**e <= 2**bits; the
+    # - 1 absorbs float rounding, so the result is a true lower bound.
+    return math.floor(bits / math.log2(base)) - 1
+
+
 def _integer_log(num: int, den: int, base: int) -> int:
     """Largest e with base**e <= num/den, by exact integer comparison.
 
-    A floating-point estimate seeds the search; the exact comparisons then
-    correct it, so the result is right even when num/den sits on or next to
-    a power of the base. A negative power moves to the other side of the
+    num/den > 2**(bit-length difference - 1) bounds e from below; exact
+    comparisons step it up, so the result is right even on or next to a
+    power of the base. A negative power moves to the other side of the
     comparison, so every comparison stays in integers (base**-n is a float).
     """
-    e = int(math.floor((math.log(num) - math.log(den)) / math.log(base)))
-    while (base**e * den > num) if e >= 0 else (den > num * base**-e):
-        e -= 1
-    e += 1
+    e = _exponent_below(num.bit_length() - den.bit_length() - 1, base) + 1
     while (base**e * den <= num) if e >= 0 else (den <= num * base**-e):
         e += 1
     return e - 1
@@ -283,18 +274,23 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
     return extract_digits_rational(abs(value), 1, k, base)
 
 
-def first_digit(value: int, base: int = 10) -> int:
-    """Leading significant digit of a nonzero integer.
+@lru_cache(maxsize=1024)  # the bit lengths of one Pascal row at 1000 rows
+def _power_below(base: int, bits: int) -> int:
+    # An integer v of this bit length has 2**(bits-1) <= v < 2**bits, so
+    # base**e <= v, and v < base**(e+3): v // base**e lies below base**3.
+    return base ** max(0, _exponent_below(bits - 1, base))
 
-    Base 10 reads the digit off the decimal expansion directly; other bases,
-    and integers past CPython's str(int) digit limit, go through the exact
-    integer conversion.
-    """
-    if value == 0:
+
+def first_digit(value: int, base: int = 10) -> int:
+    """Leading significant digit of a nonzero integer (numpy integers too;
+    floats raise TypeError) in any base: one exact division by a cached
+    power of the base, then at most two by the base."""
+    v = abs(operator.index(value))
+    if v == 0:
         raise ZeroValue("value is zero; no significant digit exists")
-    if base == 10:
-        try:
-            return int(str(abs(value))[0])
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            pass
-    return extract_digits_bigint(value, 1, base).first
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
+    q = v // _power_below(base, v.bit_length())
+    while q >= base:  # nested floor divisions compose
+        q //= base
+    return q

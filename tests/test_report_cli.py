@@ -279,6 +279,40 @@ class TestGenerateCommand:
         assert out.err == ("error: fibonacci takes no parameter 'a_1'"
                            " (it takes a1, a2, terms)\n")
 
+    @pytest.mark.parametrize("extra", [
+        ["primes"], ["--below", "5"], ["fibonacci", "--terms", "9"],
+    ])
+    def test_config_rejects_kind_and_series_flags(self, extra, tmp_path, capsys):
+        config = tmp_path / "series.cfg"
+        config.write_text("fibonacci\nterms = 3\n")
+        assert cli.main(["generate", *extra, "--config", str(config)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: generate --config FILE takes no kind"
+                           " and no series flag\n")
+
+    @pytest.mark.parametrize("text, flags, message", [
+        ("fibonacci\nterms = x\n", [], "fibonacci --terms: not an integer: 'x'"),
+        ("power-alpha\nalpha = 1/0\nn = 3\n", ["--alpha", "1/0", "--n", "3"],
+         "power-alpha --alpha: not a ratio: '1/0'"),
+        ("power-alpha\nalpha = abc\nn = 3\n", ["--alpha", "abc", "--n", "3"],
+         "power-alpha --alpha: not a ratio: 'abc'"),
+    ])
+    def test_unconvertible_parameter_names_its_flag(self, text, flags, message,
+                                                    tmp_path, capsys):
+        # argparse itself rejects a non-integer integer flag, so --terms x is
+        # only reachable through a config file.
+        config = tmp_path / "series.cfg"
+        config.write_text(text)
+        runs = [["--config", str(config)]]
+        if flags:
+            runs.append(["power-alpha", *flags])
+        for args in runs:
+            assert cli.main(["generate", *args]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv, key", [
         (["primes", "--below", "10", "--rows", "3"], "rows"),
         (["pascal", "--rows", "4", "--a1", "2"], "a1"),

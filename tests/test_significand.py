@@ -3,6 +3,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from benfordkit.errors import DomainError, MalformedToken, ZeroValue
@@ -353,6 +354,15 @@ class TestHelpers:
         assert first_digit(255, 16) == 15
         with pytest.raises(ZeroValue):
             first_digit(0)
+
+    def test_first_digit_takes_integers_only(self):
+        assert first_digit(np.int64(-300)) == 3
+        assert first_digit(np.uint8(255), 16) == 15
+        for value, base in ((0.5, 10), (0.5, 16), (300.0, 10)):
+            with pytest.raises(TypeError):
+                first_digit(value, base)
+        with pytest.raises(DomainError):
+            first_digit(5, 1)
 
     def test_from_float_reads_shortest_decimal(self):
         assert ExactDecimal.from_float(0.1).as_fraction() == Fraction(1, 10)

@@ -1,12 +1,16 @@
 """Differential tests of the exact integer log and rational digit extraction
-against a pure-integer oracle, over bases 2-64 and exponents -400..400, and
-of the base-10 digit read against the exact Fraction path."""
+against a pure-integer oracle, over bases 2-64 and exponents -400..400, of
+the base-10 digit read against the exact Fraction path, and of the integer
+first digit against the rational path."""
 
 import math
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from benfordkit import significand
 from benfordkit.errors import ZeroValue
 from benfordkit.significand import (
     MAX_EXTRACT_DIGITS,
@@ -15,6 +19,7 @@ from benfordkit.significand import (
     digit_at,
     extract_digits,
     extract_digits_rational,
+    first_digit,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -103,3 +108,55 @@ class TestDecimalReadDifferential:
         exact = extract_digits_rational(abs(frac.numerator), frac.denominator, k, 10)
         assert extract_digits(value, k, 10) == exact
         assert digit_at(value, k, 10) == exact.digits[k - 1]
+
+
+@st.composite
+def _integers(draw, max_digits):
+    """Nonzero integers of up to ``max_digits`` decimal digits and a base in
+    2-64; half of them are d * base**e or one either side of it."""
+    base = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_digits))
+        value = draw(st.integers(10 ** (n - 1), 10**n - 1))
+    else:
+        d = draw(st.integers(1, base - 1))
+        e = draw(st.integers(0, int(max_digits / math.log10(base)) - 1))
+        value = max(1, d * base**e + draw(st.sampled_from((-1, 0, 1))))
+    return draw(st.sampled_from((1, -1))) * value, base
+
+
+class TestFirstDigitDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_integers(3000))
+    def test_matches_rational_path(self, case):
+        value, base = case
+        assert first_digit(value, base) == extract_digits_rational(
+            abs(value), 1, 1, base).first
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from((np.int16, np.int32, np.int64)))
+    def test_numpy_integers(self, data, dtype):
+        digits = len(str(np.iinfo(dtype).max)) - 1
+        value, base = data.draw(_integers(digits))
+        assert first_digit(dtype(value), base) == extract_digits_rational(
+            abs(value), 1, 1, base).first
+        lowest = int(np.iinfo(dtype).min)
+        assert first_digit(dtype(lowest), base) == extract_digits_rational(
+            -lowest, 1, 1, base).first
+
+    def test_one_path_without_str_or_rational_fallback(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("first_digit left its one exact path")
+
+        value = 7 * 10**1000 + 3
+        leading_hex = int(hex(value)[2], 16)
+        monkeypatch.setattr(significand, "extract_digits_rational", refuse)
+        monkeypatch.setattr(significand, "extract_digits_bigint", refuse)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert first_digit(value, 10) == 7
+            assert first_digit(value, 16) == leading_hex
+            assert first_digit(-value, 10) == 7
+        finally:
+            sys.set_int_max_str_digits(limit)
