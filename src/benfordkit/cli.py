@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="term count")
     p.add_argument("--k", type=int, help="exponent")
     p.add_argument("--rows", type=int, help="number of rows")
-    p.add_argument("--base", type=int, default=10)
+    p.add_argument("--base", type=int, help="output base (default 10)")
     p.add_argument("--census", action="store_true",
                    help="emit the first-digit census instead of the stream")
     p.add_argument("--values", action="store_true",
@@ -155,13 +155,14 @@ def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
               for series in sequences._SERIES.values() for name, _, _ in series.params
               if getattr(args, name) is not None}
     if args.config:
-        if args.kind or params:
-            raise DomainError("generate --config FILE takes no kind and no series flag")
+        if args.kind or params or args.base is not None:
+            raise DomainError(
+                "generate --config FILE takes no kind, no series flag and no --base")
         return sequences.SequenceSpec.from_config(Path(args.config).read_text())
     if not args.kind:
         raise DomainError("generate needs a sequence kind or --config FILE")
     return sequences.SequenceSpec(kind=args.kind.replace("-", "_"), params=params,
-                                  base=args.base)
+                                  base=10 if args.base is None else args.base)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:

@@ -303,7 +303,11 @@ class SequenceSpec:
                 if key == "kind":
                     kind = value
                 elif key == "base":
-                    base = int(value)
+                    try:
+                        base = int(value)
+                    except ValueError:
+                        raise DomainError(
+                            f"config base: not an integer: {value!r}") from None
                 else:
                     params[key] = value
             else:

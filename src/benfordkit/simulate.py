@@ -5,11 +5,15 @@ so its leading-digit census drifts toward log_b(1 + 1/n) in any base; an
 additive walk N(t+1) = xi + N(t) does not. Walker state is kept in log
 space to survive long multiplicative runs without overflow.
 
-One classifier takes every census: it reads the leading digit off the
-fractional part of log_base(N) and flags walkers whose fractional part
-falls within a small guard band of a digit boundary. Flagged walkers are
-re-derived exactly, so boundary cases like a constant noise of exactly
-the base classify correctly instead of flapping on float rounding. A
+One classifier takes every census. It splits [0, 1] into 2**16 equal
+cells and reads each walker's leading digit from a per-base table at the
+fractional part of log_base(N). A cell that comes within twice the guard
+band of a digit boundary is "near" and has no digit; only walkers in near
+cells take the pow-and-gap test, which computes the digit with a power and
+flags walkers whose fractional part falls within a small guard band of a
+digit boundary. Flagged walkers are re-derived exactly, so boundary cases
+like a constant noise of exactly the base classify correctly instead of
+flapping on float rounding. A
 multiplicative walker carries an exact sum of its ln(xi) from the step
 it is first flagged on (one replay of the stream catches it up), rounded
 once to 50 digits when read, so the cost stays linear in steps; an
@@ -24,6 +28,7 @@ are pinned into run metadata for cross-platform reproducibility.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -42,6 +47,7 @@ BOUNDARY_GUARD = 1e-12
 _EXACT_DPS = 50
 _SNAP = mpmath.mpf("1e-38")
 _LOG_STATE_CAP = 2.0**52
+_CELLS = 2**16
 
 _FAMILIES = {"lognormal": 2, "normal": 2, "uniform": 2, "constant": 1}
 
@@ -164,19 +170,20 @@ def _raw_step(rng: np.random.Generator, noise: NoiseSpec, size: int):
     return None
 
 
-def _log_increments(raw, noise: NoiseSpec, size: int) -> np.ndarray:
-    """ln(xi) per walker for the multiplicative update."""
+def _log_increments(raw, noise: NoiseSpec):
+    """ln(xi) per walker for the multiplicative update; one shared value
+    for constant noise."""
     if noise.family == "lognormal":
         mu, sigma = noise.params
         return mu + sigma * raw
     if noise.family == "uniform":
         return np.log(raw)
-    c = noise.params[0]
-    return np.full(size, math.log(c))
+    return math.log(noise.params[0])
 
 
-def _increments(raw, noise: NoiseSpec, size: int) -> np.ndarray:
-    """xi per walker for the additive update."""
+def _increments(raw, noise: NoiseSpec):
+    """xi per walker for the additive update; one shared value for
+    constant noise."""
     if noise.family == "lognormal":
         mu, sigma = noise.params
         return np.exp(mu + sigma * raw)
@@ -185,7 +192,7 @@ def _increments(raw, noise: NoiseSpec, size: int) -> np.ndarray:
         return mu + sigma * raw
     if noise.family == "uniform":
         return raw
-    return np.full(size, noise.params[0])
+    return noise.params[0]
 
 
 def _log_increment_mp(raw_value, noise: NoiseSpec):
@@ -264,54 +271,108 @@ class _LogSums:
                                        spec.base) for i in walkers]
 
 
+@functools.lru_cache(maxsize=8)
+def _cell_table(base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit boundaries log_base(1..base) and the cell table of `base`.
+
+    [0, 1] is split into _CELLS equal cells. A cell's entry is its digit
+    when the whole cell lies in one digit interval with at least
+    2 * BOUNDARY_GUARD to spare on both sides, else 0 ("near"). One more
+    entry, also 0, is the cell of frac == 1.0.
+    """
+    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
+    lo = np.arange(_CELLS) / _CELLS
+    hi = lo + 1 / _CELLS
+    digits = np.minimum(np.searchsorted(bounds, lo, side="right"), base - 1)
+    inside = ((lo - bounds[digits - 1] >= 2 * BOUNDARY_GUARD)
+              & (bounds[digits] - hi >= 2 * BOUNDARY_GUARD))
+    table = np.zeros(_CELLS + 1, dtype=np.intp)
+    table[:_CELLS][inside] = digits[inside]
+    # Every caller shares the cached arrays.
+    bounds.flags.writeable = table.flags.writeable = False
+    return bounds, table
+
+
 def _census(
     state: np.ndarray, spec: ProcessSpec, step: int, sums: _LogSums
 ) -> DigitCensus:
     """First-digit census of the walkers' states at one recorded step.
 
     Multiplicative states are ln-values; additive states are the values.
-    Digits come from the fractional part of log_base; a walker within
-    BOUNDARY_GUARD of a digit boundary is resolved exactly: from its exact
-    log-sum in `sums` for a multiplicative run, from its stored double for
-    an additive one. Walkers without a resolvable digit are excluded:
-    additive states that are not positive and finite, and multiplicative
-    states whose log_base is not finite or is at least 2**52 in magnitude.
-    Past that cap a double keeps no fractional bits of log_base, and the
-    50-digit total keeps too few for the boundary snap, so no digit
-    would be exact.
+    Each walker's digit is one read of the cell table at frac, the
+    fractional part of log_base(state). Only walkers in near cells take
+    the pow-and-gap test: the digit is floor(base**frac), and a walker
+    whose frac lies within BOUNDARY_GUARD of a boundary of that digit is
+    resolved exactly: from its exact log-sum in `sums` for a
+    multiplicative run, from its stored double for an additive one. A cell
+    with a digit keeps 2 * BOUNDARY_GUARD from every boundary, so the test
+    would give its walkers that digit and flag none of them: every walker
+    within the guard band lies in a near cell. Walkers without a
+    resolvable digit are excluded: additive states that are not positive
+    and finite, and multiplicative states whose log_base is not finite or
+    is at least 2**52 in magnitude. Past that cap a double keeps no
+    fractional bits of log_base, and the 50-digit total keeps too few for
+    the boundary snap, so no digit would be exact.
     """
     base = spec.base
+    bounds, table = _cell_table(base)
     multiplicative = spec.kind == "multiplicative"
     if multiplicative:
-        x = state / math.log(base)
+        frac = state / math.log(base)
     else:
         state = state[(state > 0) & (state < np.inf)]
-        x = np.log(state) / math.log(base)
-    # An infinite or nan state gives a nan frac and a meaningless digit.
+        frac = np.log(state)
+        frac /= math.log(base)
+    # frac = x - floor(x), in place, and the cell index is frac * _CELLS
+    # cast down, read through the table in place. An infinite or nan state
+    # gives a nan frac, whose index clips to an end cell, which is near.
+    # `digits` is allocated once the floor's temporary is freed, so that
+    # it can take the temporary's memory.
     with np.errstate(invalid="ignore"):
-        frac = x - np.floor(x)
-        digits = np.floor(base**frac).astype(np.int64)
-    np.clip(digits, 1, base - 1, out=digits)
+        frac -= np.floor(frac)
+        digits = np.empty(len(frac), dtype=np.intp)
+        np.multiply(frac, _CELLS, out=digits, casting="unsafe")
+    table.take(digits, mode="clip", out=digits)
+
+    # The near walkers; when every walker is near, the arrays serve
+    # uncopied.
+    near = np.flatnonzero(digits == 0)
+    subset = slice(None) if len(near) == len(digits) else near
+    frac = frac[subset]
+    near_digits = np.empty(len(near), dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        # base**frac is at least 1, so the cast floors it.
+        np.power(base, frac, out=near_digits, casting="unsafe")
+    np.clip(near_digits, 1, base - 1, out=near_digits)
 
     # Distance from frac to the log-boundaries enclosing its digit; a nan
     # distance counts as inside the guard band.
-    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
-    lo_gap = frac - bounds[digits - 1]
-    hi_gap = bounds[digits] - frac
-    flagged = np.nonzero(~((lo_gap >= BOUNDARY_GUARD) & (hi_gap >= BOUNDARY_GUARD)))[0]
+    gap = bounds.take(near_digits - 1, mode="clip")
+    np.subtract(frac, gap, out=gap)
+    clear = gap >= BOUNDARY_GUARD
+    bounds.take(near_digits, mode="clip", out=gap)
+    gap -= frac
+    clear &= gap >= BOUNDARY_GUARD
+    resolve = ~clear
     if multiplicative:
-        # A state past the cap has frac 0 or nan, so it is flagged; its
-        # digit becomes 0, which the count below drops.
-        past_cap = ~(np.abs(x[flagged]) < _LOG_STATE_CAP)
-        digits[flagged[past_cap]] = 0
-        flagged = flagged[~past_cap]
+        # A state past the cap has frac 0 or nan, which puts it in the
+        # guard band, so only such walkers take the cap test. One past the
+        # cap is excluded, not resolved: its digit becomes 0, which the
+        # count below drops.
+        maybe = np.flatnonzero(~(frac > 0))
+        x = state[near[maybe]] / math.log(base)
+        past_cap = maybe[~(np.abs(x) < _LOG_STATE_CAP)]
+        near_digits[past_cap] = 0
+        resolve[past_cap] = False
+        flagged = near[resolve]
         if len(flagged):
-            digits[flagged] = sums.digits(flagged, step)
+            near_digits[resolve] = sums.digits(flagged, step)
     else:
-        for i in flagged:
+        for i in np.flatnonzero(resolve):
             # The stored double is the exact state here; classify it exactly.
-            num, den = float(state[i]).as_integer_ratio()
-            digits[i] = extract_digits_rational(num, den, 1, base).first
+            num, den = float(state[near[i]]).as_integer_ratio()
+            near_digits[i] = extract_digits_rational(num, den, 1, base).first
+    digits[subset] = near_digits
 
     counts = tuple(int(c) for c in np.bincount(digits, minlength=base)[1:base])
     return DigitCensus(1, base, counts, spec.walkers - sum(counts))
@@ -332,7 +393,7 @@ def _walk(spec: ProcessSpec, each_step: Callable) -> Iterator[tuple[int, np.ndar
         raw = _raw_step(rng, spec.noise, spec.walkers)
         # Overflowing states become inf or nan; the census excludes them.
         with np.errstate(over="ignore", invalid="ignore"):
-            state = state + update(raw, spec.noise, spec.walkers)
+            state = state + update(raw, spec.noise)
         each_step(raw)
         if t in record:
             yield t, state

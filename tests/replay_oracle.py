@@ -1,4 +1,10 @@
-"""Reference for the simulator's exact boundary path, for differential tests.
+"""References for the simulator's census, for differential tests.
+
+`census` is the pow-and-gap classifier applied to every walker: the
+digit is floor(base**frac) of the fractional part of log_base, and a
+walker within BOUNDARY_GUARD of a digit boundary is flagged and resolved
+exactly. `benfordkit.simulate._census` reads most digits from a cell
+table instead and must give the same digits and flag the same walkers.
 
 Each flagged walker's noise stream is replayed from step 0 and its ln(xi)
 summed with mpmath.fsum at 50 digits, at every recorded step; the walk
@@ -12,7 +18,11 @@ import math
 import mpmath
 import numpy as np
 
+from benfordkit.gof import DigitCensus
+from benfordkit.significand import extract_digits_rational
 from benfordkit.simulate import (
+    BOUNDARY_GUARD,
+    _LOG_STATE_CAP,
     ProcessSpec,
     _census,
     _increments,
@@ -23,6 +33,45 @@ from benfordkit.simulate import (
 
 EXACT_DPS = 50
 SNAP = mpmath.mpf("1e-38")
+
+
+def census(state: np.ndarray, spec: ProcessSpec, step: int, sums) -> DigitCensus:
+    """`simulate._census` with the pow-and-gap test run on every walker."""
+    base = spec.base
+    multiplicative = spec.kind == "multiplicative"
+    if multiplicative:
+        x = state / math.log(base)
+    else:
+        state = state[(state > 0) & (state < np.inf)]
+        x = np.log(state) / math.log(base)
+    # An infinite or nan state gives a nan frac and a meaningless digit.
+    with np.errstate(invalid="ignore"):
+        frac = x - np.floor(x)
+        digits = np.floor(base**frac).astype(np.int64)
+    np.clip(digits, 1, base - 1, out=digits)
+
+    # Distance from frac to the log-boundaries enclosing its digit; a nan
+    # distance counts as inside the guard band.
+    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
+    lo_gap = frac - bounds[digits - 1]
+    hi_gap = bounds[digits] - frac
+    flagged = np.nonzero(~((lo_gap >= BOUNDARY_GUARD) & (hi_gap >= BOUNDARY_GUARD)))[0]
+    if multiplicative:
+        # A state past the cap has frac 0 or nan, so it is flagged; its
+        # digit becomes 0, which the count below drops.
+        past_cap = ~(np.abs(x[flagged]) < _LOG_STATE_CAP)
+        digits[flagged[past_cap]] = 0
+        flagged = flagged[~past_cap]
+        if len(flagged):
+            digits[flagged] = sums.digits(flagged, step)
+    else:
+        for i in flagged:
+            # The stored double is the exact state here; classify it exactly.
+            num, den = float(state[i]).as_integer_ratio()
+            digits[i] = extract_digits_rational(num, den, 1, base).first
+
+    counts = tuple(int(c) for c in np.bincount(digits, minlength=base)[1:base])
+    return DigitCensus(1, base, counts, spec.walkers - sum(counts))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -113,9 +162,9 @@ def states(spec: ProcessSpec):
     for t in range(1, spec.steps + 1):
         raw = _raw_step(rng, spec.noise, spec.walkers)
         if multiplicative:
-            state = state + _log_increments(raw, spec.noise, spec.walkers)
+            state = state + _log_increments(raw, spec.noise)
         else:
-            state = state + _increments(raw, spec.noise, spec.walkers)
+            state = state + _increments(raw, spec.noise)
         if t in record:
             yield t, state
 

@@ -281,6 +281,7 @@ class TestGenerateCommand:
 
     @pytest.mark.parametrize("extra", [
         ["primes"], ["--below", "5"], ["fibonacci", "--terms", "9"],
+        ["--base", "2"], ["--base", "10"],
     ])
     def test_config_rejects_kind_and_series_flags(self, extra, tmp_path, capsys):
         config = tmp_path / "series.cfg"
@@ -288,8 +289,24 @@ class TestGenerateCommand:
         assert cli.main(["generate", *extra, "--config", str(config)]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("error: generate --config FILE takes no kind"
-                           " and no series flag\n")
+        assert out.err == ("error: generate --config FILE takes no kind,"
+                           " no series flag and no --base\n")
+
+    def test_config_base_key_sets_the_base(self, tmp_path, capsys):
+        config = tmp_path / "series.cfg"
+        config.write_text("fibonacci\nterms = 5\nbase = 2\n")
+        assert cli.main(["generate", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.split() == ["1"] * 5
+        assert cli.main(["generate", "fibonacci", "--terms", "5"]) == 0
+        assert capsys.readouterr().out.split() == ["1", "1", "2", "3", "5"]
+
+    def test_config_base_key_names_itself(self, tmp_path, capsys):
+        config = tmp_path / "series.cfg"
+        config.write_text("fibonacci\nterms = 5\nbase = x\n")
+        assert cli.main(["generate", "--config", str(config)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: config base: not an integer: 'x'\n"
 
     @pytest.mark.parametrize("text, flags, message", [
         ("fibonacci\nterms = x\n", [], "fibonacci --terms: not an integer: 'x'"),

@@ -339,6 +339,8 @@ class TestSequenceSpec:
             SequenceSpec.from_config("# nothing here\n")
         with pytest.raises(DomainError):
             SequenceSpec.from_config("fibonacci\nprimes\n")
+        with pytest.raises(DomainError, match="config base: not an integer: '1.5'"):
+            SequenceSpec.from_config("fibonacci\nterms = 5\nbase = 1.5\n")
 
     def test_streams_are_lazy(self):
         stream = SequenceSpec("factorial", {"n": 10**6}).digit_stream()
