@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .errors import EncodingError, FormatError, MalformedToken, MissingColumn
+from .errors import DomainError, EncodingError, FormatError, MalformedToken, MissingColumn
 from .gof import DigitCensus, count_digits
 from .significand import ExactDecimal, _decimal_from_match, parse_token, token_pattern
 
@@ -137,6 +137,8 @@ def _iter_cells(
         for name in policy.columns:
             if name not in header:
                 raise MissingColumn(f"column {name!r} not in header {header}")
+            if header.index(name) in selected:
+                raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))
     for rowno, row in enumerate(reader, start=2):
         if len(row) != len(header):

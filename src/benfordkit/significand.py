@@ -65,8 +65,8 @@ class ExactDecimal:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if not self.digits or not self.digits.isdigit():
-            raise ValueError("digits must be a non-empty string of 0-9")
+        if not self.digits or not self.digits.isdecimal():
+            raise ValueError("digits must be a non-empty string of decimal digits")
 
     @property
     def is_zero(self) -> bool:

@@ -3,7 +3,8 @@
 A multiplicative walk N(t+1) = xi * N(t) is a Brownian walk in log space,
 so its leading-digit census drifts toward log_b(1 + 1/n) in any base; an
 additive walk N(t+1) = xi + N(t) does not. Walker state is kept in log
-space to survive long multiplicative runs without overflow.
+space to survive long multiplicative runs without overflow. Each noise
+family, with its rules, draw and increments, is one row of `_NOISE`.
 
 One classifier takes every census. It splits [0, 1] into 2**16 equal
 cells and reads each walker's leading digit from a per-base table at the
@@ -31,8 +32,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -49,52 +50,94 @@ _SNAP = mpmath.mpf("1e-38")
 _LOG_STATE_CAP = 2.0**52
 _CELLS = 2**16
 
-_FAMILIES = {"lognormal": 2, "normal": 2, "uniform": 2, "constant": 1}
+
+class _Noise(NamedTuple):
+    """One noise family. Each callable takes the arguments shown, then the
+    family's parameters in the order of `params`."""
+
+    params: tuple[str, ...]
+    positive: Callable[..., bool]  # () -> every xi > 0, as multiplicative runs need
+    draw: Callable | None  # (rng, size) -> one step's draws; None: one shared xi
+    xi: Callable  # (raw) -> xi, the additive increment
+    ln_xi: Callable | None = None  # (raw) -> ln(xi), the multiplicative increment
+    ln_xi_mp: Callable | None = None  # (one draw) -> ln(xi) at _EXACT_DPS
+    rule: Callable[..., str | None] = lambda *params: None  # () -> error or None
+
+
+_NOISE = {
+    "lognormal": _Noise(
+        ("mu", "sigma"),
+        rule=lambda mu, sigma: "lognormal sigma must be >= 0" if sigma < 0 else None,
+        positive=lambda mu, sigma: True,
+        draw=lambda rng, size, mu, sigma: rng.standard_normal(size),
+        xi=lambda raw, mu, sigma: np.exp(mu + sigma * raw),
+        ln_xi=lambda raw, mu, sigma: mu + sigma * raw,
+        ln_xi_mp=lambda v, mu, sigma: mpmath.mpf(mu) + mpmath.mpf(sigma) * mpmath.mpf(v),
+    ),
+    "normal": _Noise(
+        ("mu", "sigma"),
+        positive=lambda mu, sigma: False,
+        draw=lambda rng, size, mu, sigma: rng.standard_normal(size),
+        xi=lambda raw, mu, sigma: mu + sigma * raw,
+    ),
+    "uniform": _Noise(
+        ("lo", "hi"),
+        rule=lambda lo, hi: None if 0 < hi - lo < math.inf
+        else "uniform noise requires lo < hi and a finite hi - lo",
+        positive=lambda lo, hi: lo > 0,
+        draw=lambda rng, size, lo, hi: rng.uniform(lo, hi, size),
+        xi=lambda raw, lo, hi: raw,
+        ln_xi=lambda raw, lo, hi: np.log(raw),
+        ln_xi_mp=lambda v, lo, hi: mpmath.log(mpmath.mpf(v)),
+    ),
+    "constant": _Noise(
+        ("c",),
+        positive=lambda c: c > 0,
+        draw=None,
+        xi=lambda raw, c: c,
+        ln_xi=lambda raw, c: math.log(c),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise family plus parameters: lognormal(mu, sigma), normal(mu, sigma),
-    uniform(lo, hi), or constant(c)."""
+    """Noise family plus parameters; the families and what their
+    parameters mean are the rows of the family table `_NOISE`."""
 
     family: str
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        row = _NOISE.get(self.family)
+        if row is None:
             raise InvalidNoise(f"unknown noise family {self.family!r}")
-        if len(self.params) != _FAMILIES[self.family]:
-            raise InvalidNoise(
-                f"{self.family} takes {_FAMILIES[self.family]} parameters, "
-                f"got {len(self.params)}"
-            )
+        if len(self.params) != len(row.params):
+            raise InvalidNoise(f"{self.family} takes {len(row.params)} parameters, "
+                               f"got {len(self.params)}")
         if not all(math.isfinite(p) for p in self.params):
             raise InvalidNoise(f"{self.family} parameters must be finite")
-        if self.family == "uniform":
-            lo, hi = self.params
-            if not 0 < hi - lo < math.inf:
-                raise InvalidNoise(
-                    "uniform noise requires lo < hi and a finite hi - lo"
-                )
-        if self.family == "lognormal" and self.params[1] < 0:
-            raise InvalidNoise("lognormal sigma must be >= 0")
+        problem = row.rule(*self.params)
+        if problem:
+            raise InvalidNoise(problem)
 
     @property
     def strictly_positive(self) -> bool:
-        if self.family == "lognormal":
-            return True
-        if self.family == "uniform":
-            return self.params[0] > 0
-        if self.family == "constant":
-            return self.params[0] > 0
-        return False
+        return _NOISE[self.family].positive(*self.params)
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
-        """Parse 'family:p1,p2' as used on the command line."""
+        """Parse 'family:p1,p2' as used on the command line; every
+        comma-separated field must be a number."""
         family, _, rest = text.partition(":")
-        params = tuple(float(p) for p in rest.split(",") if p.strip()) if rest else ()
-        return cls(family.strip(), params)
+        params = []
+        for i, field in enumerate(rest.split(",") if rest else [], start=1):
+            try:
+                params.append(float(field))
+            except ValueError:
+                raise InvalidNoise(
+                    f"noise {text!r}: parameter {i} is not a number: {field!r}") from None
+        return cls(family.strip(), tuple(params))
 
     def describe(self) -> str:
         return f"{self.family}({', '.join(repr(p) for p in self.params)})"
@@ -133,7 +176,7 @@ class ProcessSpec:
     def metadata(self) -> dict:
         return {
             "kind": self.kind,
-            "noise": self.describe_noise(),
+            "noise": self.noise.describe(),
             "steps": self.steps,
             "walkers": self.walkers,
             "initial_value": self.initial_value,
@@ -142,9 +185,6 @@ class ProcessSpec:
             "prng": PRNG_NAME,
             "numpy_version": np.__version__,
         }
-
-    def describe_noise(self) -> str:
-        return self.noise.describe()
 
 
 def recorded_steps(spec: ProcessSpec) -> list[int]:
@@ -158,51 +198,6 @@ def recorded_steps(spec: ProcessSpec) -> list[int]:
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _raw_step(rng: np.random.Generator, noise: NoiseSpec, size: int):
-    """One step's underlying draws (None for draw-free constant noise)."""
-    if noise.family in ("lognormal", "normal"):
-        return rng.standard_normal(size)
-    if noise.family == "uniform":
-        lo, hi = noise.params
-        return rng.uniform(lo, hi, size)
-    return None
-
-
-def _log_increments(raw, noise: NoiseSpec):
-    """ln(xi) per walker for the multiplicative update; one shared value
-    for constant noise."""
-    if noise.family == "lognormal":
-        mu, sigma = noise.params
-        return mu + sigma * raw
-    if noise.family == "uniform":
-        return np.log(raw)
-    return math.log(noise.params[0])
-
-
-def _increments(raw, noise: NoiseSpec):
-    """xi per walker for the additive update; one shared value for
-    constant noise."""
-    if noise.family == "lognormal":
-        mu, sigma = noise.params
-        return np.exp(mu + sigma * raw)
-    if noise.family == "normal":
-        mu, sigma = noise.params
-        return mu + sigma * raw
-    if noise.family == "uniform":
-        return raw
-    return noise.params[0]
-
-
-def _log_increment_mp(raw_value, noise: NoiseSpec):
-    """ln(xi) for one draw, at extended precision."""
-    if noise.family == "lognormal":
-        mu, sigma = noise.params
-        return mpmath.mpf(mu) + mpmath.mpf(sigma) * mpmath.mpf(float(raw_value))
-    if noise.family == "uniform":
-        return mpmath.log(mpmath.mpf(float(raw_value)))
-    return mpmath.log(mpmath.mpf(noise.params[0]))
 
 
 def _digit_from_log_mp(total, log_base, base: int) -> int:
@@ -226,17 +221,25 @@ class _LogSums:
     what mpmath.fsum over its whole noise stream gives. `advance` adds
     each step's term to every walker tracked so far; walkers flagged for
     the first time at a step are caught up together by one replay of the
-    stream. Constant noise needs no sums: every total is ln(x0) + step * ln(c).
+    stream. A draw-free family needs no sums: its one xi is shared, and
+    every total is ln(x0) + step * ln(xi).
     """
 
     def __init__(self, spec: ProcessSpec) -> None:
         self.spec = spec
+        self.family = _NOISE[spec.noise.family]
         self.sums: dict[int, tuple] = {}
+        # Taken once per run; only a multiplicative run reads them.
+        with mpmath.workdps(_EXACT_DPS):
+            self.log_x0 = mpmath.log(spec.initial_value)
+            self.log_base = mpmath.log(spec.base)
+            self.shared_log = None if self.family.draw else mpmath.log(
+                self.family.xi(None, *spec.noise.params))
 
     def _add(self, sums: Iterable[tuple], raw: np.ndarray) -> list[tuple]:
-        noise = self.spec.noise
+        term, params = self.family.ln_xi_mp, self.spec.noise.params
         with mpmath.workdps(_EXACT_DPS):
-            return [mpf_add(s, _log_increment_mp(v, noise)._mpf_, 0)
+            return [mpf_add(s, term(v, *params)._mpf_, 0)
                     for s, v in zip(sums, raw.tolist())]
 
     def advance(self, raw) -> None:
@@ -249,26 +252,24 @@ class _LogSums:
         rng = _generator(self.spec.seed)
         sums = [fzero] * len(walkers)
         for _ in range(step):
-            raw = _raw_step(rng, self.spec.noise, self.spec.walkers)
+            raw = self.family.draw(rng, self.spec.walkers, *self.spec.noise.params)
             sums = self._add(sums, raw[walkers])
         self.sums.update(zip(walkers, sums))
 
     def digits(self, walkers: np.ndarray, step: int):
         """Exact leading digits of `walkers` at `step`: one digit shared by
-        all of them for constant noise, else one per walker."""
-        spec = self.spec
+        all of them for a draw-free family, else one per walker."""
+        base = self.spec.base
+        log_x0, log_base = self.log_x0, self.log_base
         with mpmath.workdps(_EXACT_DPS):
-            log_x0 = mpmath.log(spec.initial_value)
-            log_base = mpmath.log(spec.base)
-            if spec.noise.family == "constant":
-                total = log_x0 + step * mpmath.log(mpmath.mpf(spec.noise.params[0]))
-                return _digit_from_log_mp(total, log_base, spec.base)
+            if self.shared_log is not None:
+                return _digit_from_log_mp(log_x0 + step * self.shared_log, log_base, base)
             walkers = walkers.tolist()
             new = [i for i in walkers if i not in self.sums]
             if new:
                 self._catch_up(new, step)
-            return [_digit_from_log_mp(log_x0 + mpmath.mpf(self.sums[i]), log_base,
-                                       spec.base) for i in walkers]
+            return [_digit_from_log_mp(log_x0 + mpmath.mpf(self.sums[i]), log_base, base)
+                    for i in walkers]
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,17 +384,16 @@ def _walk(spec: ProcessSpec, each_step: Callable) -> Iterator[tuple[int, np.ndar
     yields (step, state vector) at each recorded step."""
     record = set(recorded_steps(spec))
     rng = _generator(spec.seed)
-    if spec.kind == "multiplicative":
-        update = _log_increments
-        state = np.full(spec.walkers, math.log(spec.initial_value))
-    else:
-        update = _increments
-        state = np.full(spec.walkers, float(spec.initial_value))
+    family, params = _NOISE[spec.noise.family], spec.noise.params
+    multiplicative = spec.kind == "multiplicative"
+    update = family.ln_xi if multiplicative else family.xi
+    x0 = math.log(spec.initial_value) if multiplicative else float(spec.initial_value)
+    state = np.full(spec.walkers, x0)
     for t in range(1, spec.steps + 1):
-        raw = _raw_step(rng, spec.noise, spec.walkers)
+        raw = family.draw(rng, spec.walkers, *params) if family.draw else None
         # Overflowing states become inf or nan; the census excludes them.
         with np.errstate(over="ignore", invalid="ignore"):
-            state = state + update(raw, spec.noise)
+            state = state + update(raw, *params)
         each_step(raw)
         if t in record:
             yield t, state
@@ -438,15 +438,7 @@ def run_ensemble_partitioned(
     for child, walkers in zip(children, share):
         if walkers == 0:
             continue
-        sub = ProcessSpec(
-            kind=spec.kind,
-            noise=spec.noise,
-            steps=spec.steps,
-            walkers=walkers,
-            initial_value=spec.initial_value,
-            base=spec.base,
-            seed=int(child.generate_state(1)[0]),
-        )
+        sub = replace(spec, walkers=walkers, seed=int(child.generate_state(1)[0]))
         for t, census in run_ensemble(sub):
             merged[t] = merged[t].merge(census) if t in merged else census
     return sorted(merged.items())

@@ -8,9 +8,11 @@ table instead and must give the same digits and flag the same walkers.
 
 Each flagged walker's noise stream is replayed from step 0 and its ln(xi)
 summed with mpmath.fsum at 50 digits, at every recorded step; the walk
-is a plain loop over the documented Philox stream. The cost is quadratic
-in steps. `benfordkit.simulate` carries exact running sums instead and
-must give the same digits.
+is a plain loop over the documented Philox stream. Each noise family's
+draws and increments are written out here, not read from the family
+table `simulate._NOISE`. The cost is quadratic in steps.
+`benfordkit.simulate` carries exact running sums instead and must give
+the same digits.
 """
 
 import math
@@ -23,11 +25,9 @@ from benfordkit.significand import extract_digits_rational
 from benfordkit.simulate import (
     BOUNDARY_GUARD,
     _LOG_STATE_CAP,
+    NoiseSpec,
     ProcessSpec,
     _census,
-    _increments,
-    _log_increments,
-    _raw_step,
     recorded_steps,
 )
 
@@ -76,6 +76,41 @@ def census(state: np.ndarray, spec: ProcessSpec, step: int, sums) -> DigitCensus
 
 def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _raw_step(rng: np.random.Generator, noise: NoiseSpec, size: int):
+    """One step's underlying draws (None for draw-free constant noise)."""
+    if noise.family in ("lognormal", "normal"):
+        return rng.standard_normal(size)
+    if noise.family == "uniform":
+        lo, hi = noise.params
+        return rng.uniform(lo, hi, size)
+    return None
+
+
+def _log_increments(raw, noise: NoiseSpec):
+    """ln(xi) per walker for the multiplicative update; one shared value
+    for constant noise."""
+    if noise.family == "lognormal":
+        mu, sigma = noise.params
+        return mu + sigma * raw
+    if noise.family == "uniform":
+        return np.log(raw)
+    return math.log(noise.params[0])
+
+
+def _increments(raw, noise: NoiseSpec):
+    """xi per walker for the additive update; one shared value for
+    constant noise."""
+    if noise.family == "lognormal":
+        mu, sigma = noise.params
+        return np.exp(mu + sigma * raw)
+    if noise.family == "normal":
+        mu, sigma = noise.params
+        return mu + sigma * raw
+    if noise.family == "uniform":
+        return raw
+    return noise.params[0]
 
 
 def _log_increment_mp(raw_value, noise):

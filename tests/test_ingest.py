@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from benfordkit.errors import EncodingError, FormatError, MissingColumn
+from benfordkit.errors import DomainError, EncodingError, FormatError, MissingColumn
 from benfordkit.ingest import (
     NumberToken,
     ScanPolicy,
@@ -138,6 +138,14 @@ class TestReadTable:
     def test_missing_column(self):
         with pytest.raises(MissingColumn):
             list(read_table(self.CSV, policy=ScanPolicy(columns=("nope",))))
+
+    def test_column_selected_twice(self):
+        # Counting a column twice would double the sample size.
+        policy = ScanPolicy(columns=("val", "name", "val"))
+        with pytest.raises(DomainError, match="column 'val' selected twice"):
+            list(read_table(self.CSV, policy=policy))
+        with pytest.raises(DomainError, match="column 'val' selected twice"):
+            census_from_table(self.CSV, policy=policy)
 
     def test_ragged_row_reports_row_number(self):
         with pytest.raises(FormatError, match="row 3"):

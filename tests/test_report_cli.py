@@ -122,6 +122,14 @@ class TestAnalyzeCommand:
         assert cli.main(["analyze", "/no/such/file.txt"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_column_selected_twice_errors(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b\n12,x\n34,y\n")
+        assert cli.main(["analyze", str(data), "--column", "a", "--column", "a"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: column 'a' selected twice\n"
+
     def test_skip_shapes_and_separators(self, tmp_path, capsys):
         data = tmp_path / "notes.txt"
         data.write_text("in 1999 sales hit 2,300 then 48")
@@ -491,6 +499,17 @@ class TestSimulateCommand:
     def test_invalid_noise_errors(self, capsys):
         assert cli.main(["simulate", "--noise", "normal:0,1"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise, field", [
+        ("lognormal:0,,1", "parameter 2 is not a number: ''"),
+        ("lognormal:a,1", "parameter 1 is not a number: 'a'"),
+    ])
+    def test_non_numeric_noise_field_errors(self, noise, field, capsys):
+        assert cli.main(["simulate", "--noise", noise, "--steps", "3",
+                         "--walkers", "5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: noise {noise!r}: {field}\n"
 
 
 class TestExpectedCommand:

@@ -97,6 +97,19 @@ class TestFormatRoundTrip:
             )
             assert parse_token(format_token(x)) == x
 
+    @pytest.mark.parametrize("digits", ["\u00b2", "1\u00b23", "\u2460", "", "1a", "-1"])
+    def test_digits_must_be_decimal(self, digits):
+        # Superscripts and circled digits pass str.isdigit but are not
+        # decimal digits.
+        with pytest.raises(ValueError, match="decimal digits"):
+            ExactDecimal(1, digits, 1)
+
+    def test_unicode_decimal_digits_keep_their_value(self):
+        # The token grammar's \d yields any Unicode decimal digit.
+        x = ExactDecimal(1, "\u0663\u0661", 2)
+        assert x.as_fraction() == 31
+        assert digit_at(x, 1) == 3 and digit_at(x, 1, 16) == 1
+
     def test_denormalized_digits_round_trip_by_value(self):
         # Leading zeros normalize away on reparse; the value is preserved
         # and one parse/format pass reaches a fixed point.

@@ -45,6 +45,16 @@ class TestNoiseSpec:
         with pytest.raises(InvalidNoise):
             NoiseSpec.parse("cauchy:0,1")
 
+    @pytest.mark.parametrize("text, field", [
+        ("lognormal:0,,1", "parameter 2 is not a number: ''"),
+        ("lognormal:0,1,", "parameter 3 is not a number: ''"),
+        ("lognormal:a,1", "parameter 1 is not a number: 'a'"),
+        ("constant: ", "parameter 1 is not a number: ' '"),
+    ])
+    def test_every_field_must_be_a_number(self, text, field):
+        with pytest.raises(InvalidNoise, match=f"^noise {text!r}: {field}$"):
+            NoiseSpec.parse(text)
+
     def test_param_count(self):
         with pytest.raises(InvalidNoise):
             NoiseSpec("lognormal", (0.0,))
@@ -82,6 +92,8 @@ class TestProcessSpec:
             mult_spec(noise=NoiseSpec("uniform", (0.0, 1.0)))
         with pytest.raises(InvalidNoise):
             mult_spec(noise=NoiseSpec("constant", (-2.0,)))
+        with pytest.raises(InvalidNoise):
+            mult_spec(noise=NoiseSpec("constant", (0.0,)))
 
     def test_additive_accepts_signed_noise(self):
         spec = ProcessSpec(
@@ -292,6 +304,19 @@ class TestBoundaryCost:
         monkeypatch.setattr(simulate, name, counted)
         return calls
 
+    @staticmethod
+    def _count_terms(monkeypatch, family):
+        """Count the 50-digit ln(xi) terms of `family`'s table row."""
+        calls = []
+        row = simulate._NOISE[family]
+
+        def counted(*args):
+            calls.append(args)
+            return row.ln_xi_mp(*args)
+
+        monkeypatch.setitem(simulate._NOISE, family, row._replace(ln_xi_mp=counted))
+        return calls
+
     @pytest.mark.parametrize("noise, steps", [
         (NoiseSpec("lognormal", (2.302585092994046 / 3, 3e-12)), 40),
         (NoiseSpec("lognormal", (2.302585092994046, 3e-12)), 160),
@@ -309,7 +334,7 @@ class TestBoundaryCost:
         assert len(new_steps) >= 2
 
         generators = self._count(monkeypatch, "_generator")
-        terms = self._count(monkeypatch, "_log_increment_mp")
+        terms = self._count_terms(monkeypatch, noise.family)
         assert run_ensemble(spec) == expect
         # One generator for the walk, at most one per step with new walkers.
         assert len(generators) - 1 <= len(new_steps)
@@ -318,7 +343,7 @@ class TestBoundaryCost:
 
     def test_constant_noise_replays_nothing(self, monkeypatch):
         generators = self._count(monkeypatch, "_generator")
-        terms = self._count(monkeypatch, "_log_increment_mp")
+        terms = self._count_terms(monkeypatch, "constant")
         spec = mult_spec(noise=NoiseSpec("constant", (10.0,)), steps=150, walkers=30)
         assert all(c.counts[0] == 30 for _, c in run_ensemble(spec))
         assert len(generators) == 1

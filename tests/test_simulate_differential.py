@@ -1,13 +1,15 @@
 """Differential tests of the simulator against the references in
 `replay_oracle`: the exact running log-sums against replay, in bases 2, 10
-and 16, for noise that puts walkers on or near digit boundaries; and the
-cell-table census against the pow-and-gap classifier run on every walker,
-on states at and around digit boundaries, guard bands and cell edges in
-bases 2-64, 300 and 100,000."""
+and 16, for noise that puts walkers on or near digit boundaries; the
+noise-family table's walks and 50-digit terms against the reference's
+per-family functions; and the cell-table census against the pow-and-gap
+classifier run on every walker, on states at and around digit boundaries,
+guard bands and cell edges in bases 2-64, 300 and 100,000."""
 
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -73,6 +75,10 @@ class TestRunningSumsMatchReplay:
     @example(ProcessSpec("multiplicative", NoiseSpec("lognormal", (2.302585092994046, 3e-12)),
                          105, 3, seed=4))
     @example(ProcessSpec("multiplicative", NoiseSpec("constant", (16.0,)), 103, 2, base=16))
+    # ln(x0) in doubles would put these walkers on digit 9 instead of 1.
+    @example(ProcessSpec("multiplicative", NoiseSpec("constant", (10.0,)), 12, 3, 1000.0))
+    @example(ProcessSpec("multiplicative", NoiseSpec("lognormal", (2.302585092994046, 3e-12)),
+                         12, 4, 1e-5, seed=2))
     def test_multiplicative(self, spec):
         assert run_ensemble(spec) == replay_oracle.run_ensemble(spec)
 
@@ -101,6 +107,39 @@ class TestRunningSumsMatchReplay:
 
 _BASES = st.integers(2, 64) | st.sampled_from([300, 100_000])
 
+
+
+class TestNoiseTableMatchesReference:
+    """Each row of `simulate._NOISE` against the per-family functions
+    written out in `replay_oracle`, bit for bit."""
+
+    @pytest.mark.parametrize("kind, noise", [
+        ("multiplicative", "lognormal:0.1,0.3"),
+        ("multiplicative", "uniform:0.5,2"),
+        ("multiplicative", "constant:3"),
+        ("additive", "lognormal:0.1,0.3"),
+        ("additive", "normal:-1,2"),
+        ("additive", "uniform:-1,3"),
+        ("additive", "constant:-0.7"),
+    ])
+    def test_states(self, kind, noise):
+        spec = ProcessSpec(kind, NoiseSpec.parse(noise), 110, 64, 1.3, seed=11)
+        for (t, got), (u, want) in zip(simulate.iterate_states(spec),
+                                       replay_oracle.states(spec), strict=True):
+            assert t == u
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("noise", [
+        "lognormal:0.1,0.3", "lognormal:2.302585092994046,1e-12",
+        "uniform:0.5,2", "uniform:9.99999999997,10.00000000003",
+    ])
+    def test_exact_terms(self, noise):
+        spec = NoiseSpec.parse(noise)
+        term = simulate._NOISE[spec.family].ln_xi_mp
+        raw = replay_oracle._raw_step(replay_oracle._generator(3), spec, 200)
+        with mpmath.workdps(50):
+            for v in raw.tolist():
+                assert term(v, *spec.params) == replay_oracle._log_increment_mp(v, spec)
 
 def _nudge(value: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
