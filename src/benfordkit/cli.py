@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import law, report, sequences
-from .errors import BenfordError, DomainError
+from .errors import BenfordError, DomainError, EmptyCensus
 from .gof import DigitCensus
 from .ingest import ScanPolicy, census_from_table, census_from_text
 from .simulate import (
@@ -21,6 +21,7 @@ from .simulate import (
     convergence_curve,
     curve_as_csv,
     curve_as_json,
+    recorded_steps,
 )
 
 EXIT_OK = 0
@@ -96,10 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, dots, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        raise DomainError(f"--k {text!r} is not a position or a range such as 1..7") from None
+    if not ks:
+        raise DomainError(f"--k {text!r} is an empty range")
+    return ks
 
 
 def _fmt(x: float) -> str:
@@ -189,6 +194,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     curve = convergence_curve(spec)
+    if not curve:
+        raise EmptyCensus("empty census: every walker was excluded at every recorded step")
+    if omitted := len(recorded_steps(spec)) - len(curve):
+        print(f"warning: {omitted} of {omitted + len(curve)} recorded steps omitted:"
+              " every walker was excluded at those steps", file=sys.stderr)
     if args.format == "json":
         print(curve_as_json(spec, curve))
     else:
@@ -196,9 +206,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_expected(args: argparse.Namespace) -> int:
-    table = args.table
-    if table == "probs":
+def _expected_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
+    """The header and every row of the requested table."""
+    if args.table == "probs":
         ks = _parse_k_range(args.k)
         if len(ks) != 1:
             raise DomainError("probs takes a single position")
@@ -209,28 +219,30 @@ def cmd_expected(args: argparse.Namespace) -> int:
             if args.base != 10:
                 raise DomainError("deep-position tables are base 10 only")
             dist = law.marginal_distribution(k)
-        if args.sample_size:
-            print("digit,probability,expected_count")
-            for d, p in zip(dist.support, dist.probabilities):
-                print(f"{d},{_fmt(p)},{_fmt(p * args.sample_size)}")
-        else:
-            print("digit,probability")
-            for d, p in zip(dist.support, dist.probabilities):
-                print(f"{d},{_fmt(p)}")
-    elif table == "moments":
-        print("k,mean,variance")
-        for k in _parse_k_range(args.k):
-            mean, variance = law.moments(k)
-            print(f"{k},{_fmt(mean)},{_fmt(variance)}")
-    elif table == "tvd":
-        print("k,tvd_from_uniform")
-        for k in _parse_k_range(args.k):
-            print(f"{k},{_fmt(law.tvd_from_uniform(k))}")
-    else:
-        print("i,j,correlation")
-        for i in range(1, args.max_j):
-            for j in range(i + 1, args.max_j + 1):
-                print(f"{i},{j},{_fmt(law.digit_correlation(i, j))}")
+        pairs = zip(dist.support, dist.probabilities)
+        if args.sample_size is None:
+            return "digit,probability", [(d, _fmt(p)) for d, p in pairs]
+        return ("digit,probability,expected_count",
+                [(d, _fmt(p), _fmt(p * args.sample_size)) for d, p in pairs])
+    if args.table == "moments":
+        return "k,mean,variance", [(k, *map(_fmt, law.moments(k)))
+                                   for k in _parse_k_range(args.k)]
+    if args.table == "tvd":
+        return "k,tvd_from_uniform", [(k, _fmt(law.tvd_from_uniform(k)))
+                                      for k in _parse_k_range(args.k)]
+    return "i,j,correlation", [(i, j, _fmt(law.digit_correlation(i, j)))
+                               for i in range(1, args.max_j)
+                               for j in range(i + 1, args.max_j + 1)]
+
+
+def cmd_expected(args: argparse.Namespace) -> int:
+    # Every argument is checked and every row built before anything prints.
+    if args.max_j < 2:
+        raise DomainError(f"--max-j must be >= 2, got {args.max_j}")
+    if args.sample_size is not None and args.sample_size < 1:
+        raise DomainError(f"--sample-size must be >= 1, got {args.sample_size}")
+    header, rows = _expected_rows(args)
+    print(header, *(",".join(map(str, row)) for row in rows), sep="\n")
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ The scanner pulls every standalone numeric token out of arbitrary text --
 scientific notation included -- and parses it exactly, so 0.150 counts a
 first significant digit of 1 rather than a leading character of 0, and
 surrounding prose never causes an error. Tokens glued to letters ("A4",
-"v2.0") are not numbers and are left alone.
+"v2.0") are not numbers and are left alone. What counts as standalone is
+decided in one place, the token pattern (``significand.token_pattern``):
+the scanner runs it once over each line and keeps the matches it marks.
 """
 
 from __future__ import annotations
@@ -13,13 +15,11 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import DomainError, EncodingError, FormatError, MalformedToken, MissingColumn
 from .gof import DigitCensus, count_digits
 from .significand import ExactDecimal, _decimal_from_match, parse_token, token_pattern
-
-_RUN_EXTRAS = set(".,+-")
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,6 @@ def _decode(data: str | bytes, encoding: str) -> str:
         raise EncodingError(f"cannot decode input as {encoding}: {exc}") from exc
 
 
-def _skip_run(line: str, start: int) -> int:
-    """Advance past a contiguous alphanumeric-ish run that disqualified a
-    candidate token (e.g. the whole of "v2.0")."""
-    i = start
-    n = len(line)
-    while i < n and (line[i].isalnum() or line[i] in _RUN_EXTRAS):
-        i += 1
-    return max(i, start + 1)
-
-
 def scan_text(
     data: str | bytes,
     policy: ScanPolicy = ScanPolicy(),
@@ -85,31 +75,16 @@ def scan_text(
     """Yield every standalone numeric token in the text, line by line.
 
     Token boundaries require non-alphanumeric neighbors, so numbers inside
-    words are skipped. Non-numeric text never raises; the only possible
+    words are skipped; the token pattern decides. Non-numeric text never raises; the only possible
     error is a bytes input that fails to decode.
     """
     text = _decode(data, encoding)
     pattern = token_pattern(policy.thousands_separators)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        pos = 0
-        while (m := pattern.search(line, pos)) is not None:
-            start, end = m.span()
-            before = line[start - 1] if start > 0 else ""
-            after = line[end] if end < len(line) else ""
-            if before and before.isalnum():
-                if m.group()[0] in "+-":
-                    # Only the sign touches the preceding word; the digits
-                    # may still stand alone ("x-5" yields 5).
-                    pos = start + 1
-                else:
-                    pos = _skip_run(line, start)
-                continue
-            if after and after.isalnum():
-                pos = _skip_run(line, start)
-                continue
-            value = _decimal_from_match(m)
-            yield NumberToken(value=value, line=lineno, column=start + 1, raw=m.group())
-            pos = end
+        for m in pattern.finditer(line):
+            if m.group("alone") is not None:
+                yield NumberToken(value=_decimal_from_match(m), line=lineno,
+                                  column=m.start() + 1, raw=m.group())
 
 
 def _iter_cells(
@@ -137,6 +112,9 @@ def _iter_cells(
         for name in policy.columns:
             if name not in header:
                 raise MissingColumn(f"column {name!r} not in header {header}")
+            if header.count(name) > 1:
+                raise FormatError(
+                    f"column {name!r} appears {header.count(name)} times in the header")
             if header.index(name) in selected:
                 raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))

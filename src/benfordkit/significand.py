@@ -25,28 +25,36 @@ from .errors import DomainError, MalformedToken, ZeroValue
 # zero-padding applied to short mantissas.
 MAX_EXTRACT_DIGITS = 18
 
-# One grammar, compiled twice: the grouped form also takes an integer part
-# written in comma-grouped form ("2,300"), its alternatives ordered so that
-# form wins when it applies.
-_TOKEN_PLAIN, _TOKEN_GROUPED = (
-    re.compile(
-        rf"""
-        [+-]?
-        (?:
-            (?P<int>{integer}) (?: \. (?P<frac>\d+) )?
-          | \. (?P<lone_frac>\d+)
-        )
-        (?: [eE] (?P<exp>[+-]?\d+) )?
-        """,
-        re.VERBOSE,
+# One grammar, compiled for each separator setting: with separators on it
+# also takes an integer part written in comma-grouped form ("2,300"), its
+# alternatives ordered so that form wins when it applies.
+_GRAMMAR = r"""
+    [+-]?
+    (?:
+        (?P<int>{integer}) (?: \. (?P<frac>\d+) )?
+      | \. (?P<lone_frac>\d+)
     )
-    for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+")
-)
+    (?: [eE] (?P<exp>[+-]?\d+) )?
+"""
+
+# The text scanner on the same grammar. "Alphanumeric" is [^\W_], exactly
+# the characters str.isalnum accepts.
+_SCANNER = r"""
+    (?= (?P<tok> {grammar} ) )  # what search finds here; never re-entered
+    (?! (?<=[^\W_]) [+-] )      # a sign alone touching a word: retry after it
+    (?: (?<![^\W_]) (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
+      | (?: [^\W_] | [.,+-] )+ )                     # else pass the run ("v2.0")
+"""
+
+# Both indexed by the separator setting.
+_TOKEN = tuple(re.compile(_GRAMMAR.format(integer=integer), re.VERBOSE)
+               for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
+_SCAN = tuple(re.compile(_SCANNER.format(grammar=p.pattern), re.VERBOSE) for p in _TOKEN)
 
 
 def token_pattern(separators: bool = False) -> re.Pattern[str]:
-    """Compiled regex for the numeric-token grammar (used by the scanner)."""
-    return _TOKEN_GROUPED if separators else _TOKEN_PLAIN
+    """The text scanner: a match with ``alone`` set is a standalone token."""
+    return _SCAN[separators]
 
 
 @dataclass(frozen=True)
@@ -140,14 +148,15 @@ def parse_token(text: str, *, separators: bool = False) -> ExactDecimal:
     e/E exponent, or a bare ``.digits`` fraction. Zero tokens parse fine;
     extraction is where zero turns into an error.
     """
-    m = token_pattern(separators).fullmatch(text)
+    m = _TOKEN[separators].fullmatch(text)
     if m is None:
         raise MalformedToken(f"not a numeric token: {text!r}")
     return _decimal_from_match(m)
 
 
 def _decimal_from_match(m: re.Match[str]) -> ExactDecimal:
-    """The exact record of a token the grammar matched (the whole match)."""
+    """The exact record of a token the grammar matched, starting where the
+    match starts (a ``fullmatch`` or a scanner match)."""
     int_part, frac, lone_frac, exp = m.group("int", "frac", "lone_frac", "exp")
     sign = -1 if m.string[m.start()] == "-" else 1
     int_part = (int_part or "").replace(",", "")

@@ -147,6 +147,17 @@ class TestReadTable:
         with pytest.raises(DomainError, match="column 'val' selected twice"):
             census_from_table(self.CSV, policy=policy)
 
+    def test_selected_name_repeated_in_header(self):
+        # header.index would read the first "a" and drop the second.
+        text = "a,a,b\n12,34,x\n56,78,y\n"
+        policy = ScanPolicy(columns=("a",))
+        with pytest.raises(FormatError, match="column 'a' appears 2 times in the header"):
+            list(read_table(text, policy=policy))
+        with pytest.raises(FormatError, match="column 'a' appears 2 times"):
+            census_from_table(text, policy=policy)
+        assert values(read_table(text, policy=ScanPolicy(columns=("b",)))) == []
+        assert values(read_table(text)) == [12, 34, 56, 78]
+
     def test_ragged_row_reports_row_number(self):
         with pytest.raises(FormatError, match="row 3"):
             list(read_table("a,b\n1,2\n3\n"))

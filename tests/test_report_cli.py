@@ -130,6 +130,14 @@ class TestAnalyzeCommand:
         assert out.out == ""
         assert out.err == f"error: {data}: column 'a' selected twice\n"
 
+    def test_column_name_repeated_in_header_errors(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,a\n12,34\n56,78\n")
+        assert cli.main(["analyze", str(data), "--column", "a"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: column 'a' appears 2 times in the header\n"
+
     def test_skip_shapes_and_separators(self, tmp_path, capsys):
         data = tmp_path / "notes.txt"
         data.write_text("in 1999 sales hit 2,300 then 48")
@@ -491,10 +499,18 @@ class TestSimulateCommand:
              "--steps", "3", "--walkers", "5"],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
         )
+        # stderr holds the one line on omitted steps and no numpy warning.
+        if rows == 0:
+            assert result.returncode == 1
+            assert result.stdout == ""
+            assert result.stderr == ("error: empty census: every walker was excluded"
+                                     " at every recorded step\n")
+            return
         assert result.returncode == 0
-        assert result.stderr == ""
+        assert result.stderr == ("warning: 2 of 3 recorded steps omitted:"
+                                 " every walker was excluded at those steps\n")
         lines = result.stdout.splitlines()
-        assert lines[lines.index("step,d1") + 1:] == ["1,0.698970004336"][:rows]
+        assert lines[lines.index("step,d1") + 1:] == ["1,0.698970004336"]
 
     def test_invalid_noise_errors(self, capsys):
         assert cli.main(["simulate", "--noise", "normal:0,1"]) == 1
@@ -561,3 +577,21 @@ class TestExpectedCommand:
     def test_deep_position_non_decimal_base_errors(self, capsys):
         assert cli.main(["expected", "--table", "probs", "--k", "2", "--base", "8"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--table", "corr", "--max-j", "6"], "position j must lie in [2, 5], got 6"),
+        (["--table", "corr", "--max-j", "1"], "--max-j must be >= 2, got 1"),
+        (["--table", "moments", "--k", "5..3"], "--k '5..3' is an empty range"),
+        (["--table", "moments", "--k", "1.."],
+         "--k '1..' is not a position or a range such as 1..7"),
+        (["--table", "probs", "--k", "x"],
+         "--k 'x' is not a position or a range such as 1..7"),
+        (["--table", "tvd", "--k", "0..2"], "position must lie in [1, 18], got 0"),
+        (["--sample-size", "0"], "--sample-size must be >= 1, got 0"),
+        (["--sample-size", "-5"], "--sample-size must be >= 1, got -5"),
+    ])
+    def test_bad_arguments_print_nothing(self, argv, message, capsys):
+        assert cli.main(["expected", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"

@@ -1,0 +1,54 @@
+"""Differential tests of the text scanner: one `finditer` of the token
+pattern per line against the search-and-resume scanner it replaced
+(`scan_oracle`), and the pattern's alphanumeric class against
+`str.isalnum` at every code point."""
+
+import re
+
+import pytest
+
+import scan_oracle
+from benfordkit.ingest import ScanPolicy, scan_text
+from benfordkit.significand import token_pattern
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+# Characters that start, end, extend or glue to a token: ASCII digits,
+# signs, separators and exponent letters, word characters that are not
+# alphanumeric (_), other letters, non-ASCII digits (Arabic-Indic three,
+# fullwidth three), numerics that are not decimal digits (superscript two,
+# one half, Roman eight), an accented letter, and line breaks.
+_PIECES = (list("0123456789+-.,eE _axZ") + ["٣", "３", "²", "½", "Ⅷ", "é"]
+           + ["\n", "\r\n", "\x85", "\u2028"])
+
+
+def _tokens(scanner, text, separators):
+    policy = ScanPolicy(thousands_separators=separators)
+    return [(t.value, t.line, t.column, t.raw) for t in scanner(text, policy)]
+
+
+@pytest.mark.parametrize("separators", [False, True])
+@pytest.mark.parametrize("text", [
+    "x-5 and y+3", "A4 paper and v2.0 released", "1-5", "x+-5", "a.5 .5a .5",
+    "1,234,5678 and 1,234.5", "1e5x 1e5 -2.5E-3,", "٣٣ and ３.５", "2² ½5 Ⅷ7 é3",
+    "_5_ 5_ _-5", "a 12\r\nbb 7\x85c 8\u2028-9", "", "+", "-.", "e5 5e e-5",
+])
+def test_fixed_lines_match_oracle(text, separators):
+    assert (_tokens(scan_text, text, separators)
+            == _tokens(scan_oracle.scan_text, text, separators))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.booleans())
+def test_random_text_matches_oracle(text, separators):
+    assert (_tokens(scan_text, text, separators)
+            == _tokens(scan_oracle.scan_text, text, separators))
+
+
+def test_alphanumeric_class_is_isalnum():
+    assert r"[^\W_]" in token_pattern().pattern
+    every = "".join(map(chr, range(0x110000)))
+    by_class = [m.start() for m in re.finditer(r"[^\W_]", every)]
+    assert by_class == [i for i, c in enumerate(every) if c.isalnum()]
