@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expected", help="print expected-law reference tables")
     p.add_argument("--table", choices=("probs", "moments", "tvd", "corr"),
                    default="probs")
-    p.add_argument("--k", default="1", help="position or range, e.g. 3 or 1..7")
-    p.add_argument("--base", type=int, default=10, help="base (probs, position 1 only)")
-    p.add_argument("--max-j", type=int, default=5, help="corr: largest position")
+    p.add_argument("--k", help="position or range, e.g. 3 or 1..7 (default 1; not corr)")
+    p.add_argument("--base", type=int, help="probs: base, position 1 only (default 10)")
+    p.add_argument("--max-j", type=int, help="corr: largest position (default 5)")
     p.add_argument("--sample-size", type=int,
                    help="probs: also print expected counts for this sample size")
     return parser
@@ -208,37 +208,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _expected_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
     """The header and every row of the requested table."""
-    if args.table == "probs":
-        ks = _parse_k_range(args.k)
-        if len(ks) != 1:
-            raise DomainError("probs takes a single position")
-        k = ks[0]
-        if k == 1:
-            dist = law.first_digit_distribution(args.base)
-        else:
-            if args.base != 10:
-                raise DomainError("deep-position tables are base 10 only")
-            dist = law.marginal_distribution(k)
-        pairs = zip(dist.support, dist.probabilities)
-        if args.sample_size is None:
-            return "digit,probability", [(d, _fmt(p)) for d, p in pairs]
-        return ("digit,probability,expected_count",
-                [(d, _fmt(p), _fmt(p * args.sample_size)) for d, p in pairs])
+    if args.table == "corr":
+        max_j = 5 if args.max_j is None else args.max_j
+        if not 2 <= max_j <= law.MAX_CORRELATION_POSITION:
+            raise DomainError(
+                f"--max-j must lie in [2, {law.MAX_CORRELATION_POSITION}], got {max_j}")
+        return "i,j,correlation", [(i, j, _fmt(law.digit_correlation(i, j)))
+                                   for i in range(1, max_j)
+                                   for j in range(i + 1, max_j + 1)]
+    ks = _parse_k_range("1" if args.k is None else args.k)
     if args.table == "moments":
-        return "k,mean,variance", [(k, *map(_fmt, law.moments(k)))
-                                   for k in _parse_k_range(args.k)]
+        return "k,mean,variance", [(k, *map(_fmt, law.moments(k))) for k in ks]
     if args.table == "tvd":
-        return "k,tvd_from_uniform", [(k, _fmt(law.tvd_from_uniform(k)))
-                                      for k in _parse_k_range(args.k)]
-    return "i,j,correlation", [(i, j, _fmt(law.digit_correlation(i, j)))
-                               for i in range(1, args.max_j)
-                               for j in range(i + 1, args.max_j + 1)]
+        return "k,tvd_from_uniform", [(k, _fmt(law.tvd_from_uniform(k))) for k in ks]
+    if len(ks) != 1:
+        raise DomainError("probs takes a single position")
+    base = 10 if args.base is None else args.base
+    if ks[0] != 1 and base != 10:
+        raise DomainError("deep-position tables are base 10 only")
+    dist = law.first_digit_distribution(base) if ks[0] == 1 else law.marginal_distribution(ks[0])
+    pairs = zip(dist.support, dist.probabilities)
+    if args.sample_size is None:
+        return "digit,probability", [(d, _fmt(p)) for d, p in pairs]
+    return ("digit,probability,expected_count",
+            [(d, _fmt(p), _fmt(p * args.sample_size)) for d, p in pairs])
 
 
 def cmd_expected(args: argparse.Namespace) -> int:
     # Every argument is checked and every row built before anything prints.
-    if args.max_j < 2:
-        raise DomainError(f"--max-j must be >= 2, got {args.max_j}")
+    # Each optional flag belongs to the tables that read it; the others reject it.
+    for name, tables in (("k", ("probs", "moments", "tvd")), ("base", ("probs",)),
+                         ("sample_size", ("probs",)), ("max_j", ("corr",))):
+        if getattr(args, name) is not None and args.table not in tables:
+            raise DomainError(f"--table {args.table} takes no --{name.replace('_', '-')}")
     if args.sample_size is not None and args.sample_size < 1:
         raise DomainError(f"--sample-size must be >= 1, got {args.sample_size}")
     header, rows = _expected_rows(args)

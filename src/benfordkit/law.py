@@ -8,8 +8,8 @@ and inter-digit correlations all derive from it.
 Position-k marginals are that law summed over prefixes, telescoped into
 lnGamma differences and evaluated at extended precision (Hill, "The
 Significant-Digit Phenomenon", Amer. Math. Monthly 102, 1995).
-Correlations enumerate the joint support and sum it with compensated
-accumulation (math.fsum).
+Correlations sum centred conditional means over the prefixes of the
+deeper position, with the means and variances taken from the marginals.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from .errors import DomainError
 # Deepest position with a marginal: the deepest that digit extraction
 # supports (significand.MAX_EXTRACT_DIGITS).
 MAX_POSITION = 18
-# Correlations enumerate the full joint support 9 * 10**(j-1).
-MAX_CORRELATION_POSITION = 5
+# Correlations sum over the 9 * 10**(j-2) prefixes of j - 1 digits; up to
+# j = 6 the integer products (10m + b)(10m + 10 - b) stay below 10**12.
+MAX_CORRELATION_POSITION = 6
 
 _LN10 = math.log(10.0)
 
@@ -145,26 +146,24 @@ def tvd_from_uniform(k: int) -> float:
 
 @lru_cache(maxsize=None)
 def digit_correlation(i: int, j: int) -> float:
-    """Correlation of the digits at positions i < j, from the exact joint law."""
+    """Correlation of the digits at positions i < j, from the exact joint law.
+
+    Sums centred conditional means over the (j-1)-digit prefixes m. With
+    h(m) = ln 10 * P(m) * (E[D_j | m] - mu_j), the covariance is the sum of
+    (d_i(m) - mu_i) * h(m), over ln 10. Means and variances come from moments.
+    """
     if not (1 <= i < j):
         raise DomainError(f"need 1 <= i < j, got ({i}, {j})")
     if j > MAX_CORRELATION_POSITION:
-        raise DomainError(
-            f"position j must lie in [2, {MAX_CORRELATION_POSITION}], got {j}"
-        )
-    m = np.arange(10 ** (j - 1), 10**j, dtype=np.int64)
-    p = np.log1p(1.0 / m) / _LN10
-    di = ((m // 10 ** (j - i)) % 10).astype(np.float64)
-    dj = (m % 10).astype(np.float64)
-    e_i = math.fsum((p * di).tolist())
-    e_j = math.fsum((p * dj).tolist())
-    e_ii = math.fsum((p * di * di).tolist())
-    e_jj = math.fsum((p * dj * dj).tolist())
-    e_ij = math.fsum((p * di * dj).tolist())
-    cov = e_ij - e_i * e_j
-    var_i = e_ii - e_i * e_i
-    var_j = e_jj - e_j * e_j
-    return cov / math.sqrt(var_i * var_j)
+        raise DomainError(f"position j must lie in [2, {MAX_CORRELATION_POSITION}], got {j}")
+    (mean_i, var_i), (mean_j, var_j) = moments(i), moments(j)
+    m = np.arange(10 ** (j - 2), 10 ** (j - 1), dtype=np.int64)
+    # Pairing digit b with 9 - b makes each difference of two logs one log1p
+    # of a ratio of exact integers, so h has no cancellation.
+    h = sum((b - 4.5) * np.log1p((9 - 2 * b) / ((10 * m + b) * (10 * m + 10 - b)))
+            for b in range(5)) - (mean_j - 4.5) * np.log1p(1.0 / m)
+    d_i = (m // 10 ** (j - 1 - i)) % 10
+    return math.fsum(((d_i - mean_i) * h).tolist()) / _LN10 / math.sqrt(var_i * var_j)
 
 
 def expected_counts(k: int, sample_size: int) -> np.ndarray:

@@ -89,10 +89,6 @@ class ExactDecimal:
             return Fraction(mantissa * 10**scale)
         return Fraction(mantissa, 10**-scale)
 
-    def scaled(self, power_of_ten: int) -> "ExactDecimal":
-        """This value times 10**power_of_ten (exact)."""
-        return ExactDecimal(self.sign, self.digits, self.exponent + power_of_ten)
-
     @classmethod
     def from_int(cls, value: int) -> "ExactDecimal":
         return parse_token(str(Decimal(value)))

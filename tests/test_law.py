@@ -49,6 +49,25 @@ CORRELATION_REFERENCE = {
     (3, 5): 0.0000022,
     (4, 5): 0.0000002,
 }
+# The 15 correlations to position 6 from an exact enumeration of the joint
+# law of the first six digits at 40 digits (tests/correlation_reference.py).
+CORRELATION_40_DIGITS = {
+    (1, 2): 5.6056340363102888e-2,
+    (1, 3): 5.9126004227475746e-3,
+    (1, 4): 5.9164221977022715e-4,
+    (1, 5): 5.9164605339241685e-5,
+    (1, 6): 5.9164609172983239e-6,
+    (2, 3): 2.0566677257202314e-3,
+    (2, 4): 2.0591047036794398e-4,
+    (2, 5): 2.059129177746554e-5,
+    (2, 6): 2.0591294224977478e-6,
+    (3, 4): 2.2835263034212895e-5,
+    (3, 5): 2.2835574735842487e-6,
+    (3, 6): 2.2835577853016239e-7,
+    (4, 5): 2.286670595361262e-7,
+    (4, 6): 2.2866709082471902e-8,
+    (5, 6): 2.2867021964456784e-9,
+}
 
 
 class TestFirstDigitProb:
@@ -213,6 +232,11 @@ class TestCorrelation:
     def test_reference_values(self, pair):
         assert abs(digit_correlation(*pair) - CORRELATION_REFERENCE[pair]) < 1e-6
 
+    @pytest.mark.parametrize("pair", sorted(CORRELATION_40_DIGITS))
+    def test_every_digit_against_40_digit_enumeration(self, pair):
+        want = CORRELATION_40_DIGITS[pair]
+        assert abs(digit_correlation(*pair) - want) <= 2e-15 * want
+
     def test_decay_with_distance(self):
         for i in (1, 2, 3):
             row = [digit_correlation(i, j) for j in range(i + 1, 6)]
@@ -222,7 +246,7 @@ class TestCorrelation:
         for (i, j) in CORRELATION_REFERENCE:
             assert 0.0 < digit_correlation(i, j) < 1.0
 
-    @pytest.mark.parametrize("i,j", [(0, 2), (2, 2), (3, 2), (1, 6)])
+    @pytest.mark.parametrize("i,j", [(0, 2), (2, 2), (3, 2), (1, 7)])
     def test_domain(self, i, j):
         with pytest.raises(DomainError):
             digit_correlation(i, j)

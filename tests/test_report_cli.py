@@ -579,8 +579,8 @@ class TestExpectedCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, message", [
-        (["--table", "corr", "--max-j", "6"], "position j must lie in [2, 5], got 6"),
-        (["--table", "corr", "--max-j", "1"], "--max-j must be >= 2, got 1"),
+        (["--table", "corr", "--max-j", "7"], "--max-j must lie in [2, 6], got 7"),
+        (["--table", "corr", "--max-j", "1"], "--max-j must lie in [2, 6], got 1"),
         (["--table", "moments", "--k", "5..3"], "--k '5..3' is an empty range"),
         (["--table", "moments", "--k", "1.."],
          "--k '1..' is not a position or a range such as 1..7"),
@@ -595,3 +595,19 @@ class TestExpectedCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("table, flag, value", [
+        ("moments", "--base", "16"),
+        ("moments", "--base", "10"),
+        ("tvd", "--sample-size", "100"),
+        ("corr", "--sample-size", "100"),
+        ("corr", "--k", "1"),
+        ("corr", "--base", "10"),
+        ("probs", "--max-j", "5"),
+        ("tvd", "--max-j", "5"),
+    ])
+    def test_flag_of_another_table_is_an_error(self, table, flag, value, capsys):
+        assert cli.main(["expected", "--table", table, flag, value]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --table {table} takes no {flag}\n"
