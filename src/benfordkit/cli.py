@@ -171,6 +171,8 @@ def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.census and args.values:
+        raise DomainError("generate takes --census or --values, not both")
     spec = _sequence_spec(args)
     if args.census:
         census = DigitCensus.from_digits(spec.digit_stream(), 1, spec.base)

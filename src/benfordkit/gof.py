@@ -29,6 +29,10 @@ DEGREES_OF_FREEDOM = 8
 
 def digit_support(position: int, base: int) -> tuple[int, ...]:
     """Possible digit values at a significant-digit position."""
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
+    if position < 1:
+        raise DomainError(f"position must be >= 1, got {position}")
     return tuple(range(1, base)) if position == 1 else tuple(range(base))
 
 

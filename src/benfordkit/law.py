@@ -63,6 +63,8 @@ def first_digit_prob(d: int, base: int = 10) -> float:
 
 def first_digit_distribution(base: int = 10) -> DigitDistribution:
     """The full first-digit law over {1, ..., base-1}."""
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
     support = tuple(range(1, base))
     probs = tuple(first_digit_prob(d, base) for d in support)
     return DigitDistribution(position=1, support=support, probabilities=probs)

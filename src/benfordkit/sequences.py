@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .significand import _exponent_below, extract_digits_rational, first_digit
+from .significand import _exponent_below, _first_digits, extract_digits_rational
 
 PRIME_BOUND_CAP = 10**8
 PRODUCT_DIGITS = 60
@@ -50,7 +50,7 @@ def fibonacci_values(a1: int, a2: int, n_terms: int) -> Iterator[int]:
 
 def fibonacci_digits(a1: int, a2: int, n_terms: int, base: int = 10) -> Iterator[int]:
     """First significant digits of the recursion terms."""
-    return (first_digit(v, base) for v in fibonacci_values(a1, a2, n_terms))
+    return _first_digits(fibonacci_values(a1, a2, n_terms), base)
 
 
 def prime_values(bound: int) -> Iterator[int]:
@@ -69,7 +69,7 @@ def prime_values(bound: int) -> Iterator[int]:
 
 
 def prime_digits(bound: int, base: int = 10) -> Iterator[int]:
-    return (first_digit(p, base) for p in prime_values(bound))
+    return _first_digits(prime_values(bound), base)
 
 
 def factorial_values(n_max: int) -> Iterator[int]:
@@ -83,7 +83,7 @@ def factorial_values(n_max: int) -> Iterator[int]:
 
 
 def factorial_digits(n_max: int, base: int = 10) -> Iterator[int]:
-    return (first_digit(f, base) for f in factorial_values(n_max))
+    return _first_digits(factorial_values(n_max), base)
 
 
 def n_power_values(k: int, n_max: int) -> Iterator[int]:
@@ -97,7 +97,7 @@ def n_power_values(k: int, n_max: int) -> Iterator[int]:
 
 
 def n_power_digits(k: int, n_max: int, base: int = 10) -> Iterator[int]:
-    return (first_digit(v, base) for v in n_power_values(k, n_max))
+    return _first_digits(n_power_values(k, n_max), base)
 
 
 def pascal_values(rows: int) -> Iterator[int]:
@@ -112,7 +112,7 @@ def pascal_values(rows: int) -> Iterator[int]:
 
 
 def pascal_digits(rows: int, base: int = 10) -> Iterator[int]:
-    return (first_digit(v, base) for v in pascal_values(rows))
+    return _first_digits(pascal_values(rows), base)
 
 
 AlphaLike = Union[Fraction, int, str, float]

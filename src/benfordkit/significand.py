@@ -4,7 +4,7 @@ Numeric tokens are kept as exact decimal records (sign, digit string,
 power-of-ten exponent), so digit extraction never rounds. Base 10 reads
 them off the stored digit string, at a cost set by the token's length and
 never by its exponent; other bases run on integer scalings of the value,
-and integers in any base on one division by a cached power of the base.
+and integers in any base on one division by a running power of the base.
 No float decides a digit, so exact powers of the base come out right.
 """
 
@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .errors import DomainError, MalformedToken, ZeroValue
 
@@ -279,23 +279,28 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
     return extract_digits_rational(abs(value), 1, k, base)
 
 
-@lru_cache(maxsize=1024)  # the bit lengths of one Pascal row at 1000 rows
-def _power_below(base: int, bits: int) -> int:
-    # An integer v of this bit length has 2**(bits-1) <= v < 2**bits, so
-    # base**e <= v, and v < base**(e+3): v // base**e lies below base**3.
-    return base ** max(0, _exponent_below(bits - 1, base))
+def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
+    """Leading digits of nonzero integers, by p, the largest power of the base at most |v|,
+    carried over: a one-digit move steps p; a jump re-seeds it below |v| from the bit length."""
+    p = top = 0  # top = p * base; the first term seeds
+    for value in values:
+        v = abs(operator.index(value))
+        if not p <= v < top:
+            if top <= v < top * base:
+                p, top = top, top * base
+            elif v < p <= v * base:
+                p, top = p // base, p
+            else:
+                if v == 0:
+                    raise ZeroValue("value is zero; no significant digit exists")
+                if base < 2:
+                    raise DomainError(f"base must be >= 2, got {base}")
+                p = top = base ** max(0, _exponent_below(v.bit_length() - 1, base))
+                while top <= v:
+                    p, top = top, top * base
+        yield v // p
 
 
 def first_digit(value: int, base: int = 10) -> int:
-    """Leading significant digit of a nonzero integer (numpy integers too;
-    floats raise TypeError) in any base: one exact division by a cached
-    power of the base, then at most two by the base."""
-    v = abs(operator.index(value))
-    if v == 0:
-        raise ZeroValue("value is zero; no significant digit exists")
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    q = v // _power_below(base, v.bit_length())
-    while q >= base:  # nested floor divisions compose
-        q //= base
-    return q
+    """First digit of a nonzero integer; numpy integers too, floats raise TypeError."""
+    return next(_first_digits((value,), base))

@@ -13,6 +13,7 @@ from benfordkit.gof import (
     benford_frequencies,
     build_census,
     chi_square,
+    digit_support,
     full_report,
     max_deviation,
     tvd_benford,
@@ -92,6 +93,23 @@ class TestBuildCensus:
     def test_string_tokens_with_separators(self):
         c = build_census(["2,300"], separators=True)
         assert c.count_of(2) == 1
+
+    @pytest.mark.parametrize("position, base, message", [
+        (1, 1, "base must be >= 2, got 1"),
+        (1, 0, "base must be >= 2, got 0"),
+        (2, -3, "base must be >= 2, got -3"),
+        (0, 10, "position must be >= 1, got 0"),
+        (-1, 16, "position must be >= 1, got -1"),
+    ])
+    def test_base_and_position_outside_domain(self, position, base, message):
+        # Each entry point rejects them before counting, not with an IndexError.
+        for build in (lambda: digit_support(position, base),
+                      lambda: build_census([5], position, base),
+                      lambda: build_census([], position, base),
+                      lambda: DigitCensus.empty(position, base),
+                      lambda: DigitCensus.from_digits([], position, base)):
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                build()
 
 
 class TestStatistics:

@@ -88,6 +88,11 @@ class TestFirstDigitProb:
             total = math.fsum(first_digit_prob(d, base) for d in range(1, base))
             assert abs(total - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("base", [1, 0, -3])
+    def test_distribution_rejects_base_below_two(self, base):
+        with pytest.raises(DomainError, match=f"^base must be >= 2, got {base}$"):
+            first_digit_distribution(base)
+
 
 class TestJointProb:
     def test_worked_example(self):

@@ -159,6 +159,25 @@ class TestAnalyzeCommand:
         assert doc["chi_square"] is None
         assert doc["meta"]["position"] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--base", "1"], "base must be >= 2, got 1"),
+        (["--base", "0"], "base must be >= 2, got 0"),
+        (["--base", "-3"], "base must be >= 2, got -3"),
+        (["--position", "0"], "position must be >= 1, got 0"),
+    ])
+    @pytest.mark.parametrize("name, text", [("e.txt", "12 0 7e3\n"),
+                                            ("e.csv", "a,b\n12,3\n"),
+                                            ("empty.txt", "")])
+    def test_base_and_position_outside_domain(self, argv, message, name, text, tmp_path,
+                                              capsys):
+        # One error line and no traceback, whether or not the file has numbers.
+        data = tmp_path / name
+        data.write_text(text)
+        assert cli.main(["analyze", str(data), *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: {message}\n"
+
     def test_negative_powers_of_ten_count(self, tmp_path, capsys):
         # Exact negative powers of ten, some below the smallest double, all
         # lead with 1.
@@ -252,6 +271,16 @@ class TestGenerateCommand:
         assert cli.main(["generate", "factorial", "--n", "2000", "--census"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert sum(int(line.split(",")[1]) for line in lines[1:]) == 2000
+
+    @pytest.mark.parametrize("argv", [
+        ["primes", "--below", "20"],
+        ["factorial", "--n", "5"],
+    ])
+    def test_census_and_values_together_error(self, argv, capsys):
+        assert cli.main(["generate", *argv, "--census", "--values"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: generate takes --census or --values, not both\n"
 
     def test_power_alpha_values_are_rational(self, capsys):
         assert cli.main(
@@ -589,6 +618,10 @@ class TestExpectedCommand:
         (["--table", "tvd", "--k", "0..2"], "position must lie in [1, 18], got 0"),
         (["--sample-size", "0"], "--sample-size must be >= 1, got 0"),
         (["--sample-size", "-5"], "--sample-size must be >= 1, got -5"),
+        (["--base", "1"], "base must be >= 2, got 1"),
+        (["--base", "0"], "base must be >= 2, got 0"),
+        (["--base", "-3"], "base must be >= 2, got -3"),
+        (["--base", "1", "--sample-size", "3"], "base must be >= 2, got 1"),
     ])
     def test_bad_arguments_print_nothing(self, argv, message, capsys):
         assert cli.main(["expected", *argv]) == 1

@@ -1,7 +1,7 @@
 """Differential tests of the exact integer log and rational digit extraction
 against a pure-integer oracle, over bases 2-64 and exponents -400..400, of
 the base-10 digit read against the exact Fraction path, and of the integer
-first digit against the rational path."""
+first digit and the integer stream reader against the rational path."""
 
 import math
 import sys
@@ -15,6 +15,7 @@ from benfordkit.errors import ZeroValue
 from benfordkit.significand import (
     MAX_EXTRACT_DIGITS,
     ExactDecimal,
+    _first_digits,
     _integer_log,
     digit_at,
     extract_digits,
@@ -111,18 +112,50 @@ class TestDecimalReadDifferential:
 
 
 @st.composite
-def _integers(draw, max_digits):
-    """Nonzero integers of up to ``max_digits`` decimal digits and a base in
-    2-64; half of them are d * base**e or one either side of it."""
-    base = draw(st.integers(2, 64))
+def _terms(draw, base, max_digits, e=None):
+    """A nonzero integer of up to ``max_digits`` decimal digits; half of them
+    are d * base**e or one either side of it (e drawn when not given)."""
+    top = int(max_digits / math.log10(base)) - 1
+    e = draw(st.integers(0, top)) if e is None else e
     if draw(st.booleans()):
-        n = draw(st.integers(1, max_digits))
-        value = draw(st.integers(10 ** (n - 1), 10**n - 1))
+        value = draw(st.integers(base**e, base ** (e + 1) - 1))
     else:
         d = draw(st.integers(1, base - 1))
-        e = draw(st.integers(0, int(max_digits / math.log10(base)) - 1))
         value = max(1, d * base**e + draw(st.sampled_from((-1, 0, 1))))
-    return draw(st.sampled_from((1, -1))) * value, base
+    return draw(st.sampled_from((1, -1))) * value
+
+
+@st.composite
+def _integers(draw, max_digits):
+    """A nonzero integer of up to ``max_digits`` decimal digits and a base in
+    2-64."""
+    base = draw(st.integers(2, 64))
+    return draw(_terms(base, max_digits)), base
+
+
+@st.composite
+def _streams(draw, max_digits=3000):
+    """A base in 2-64 and a stream of nonzero integers of up to
+    ``max_digits`` decimal digits whose exponents walk by -2..2 or jump
+    anywhere, read as walked, sorted up, sorted down or shuffled."""
+    base = draw(st.integers(2, 64))
+    top = int(max_digits / math.log10(base)) - 1
+    moves = draw(st.lists(st.one_of(st.integers(-2, 2), st.integers(-top, top)),
+                          min_size=1, max_size=40))
+    e, values = draw(st.integers(0, top)), []
+    for move in moves:
+        e = min(max(e + move, 0), top)
+        values.append(draw(_terms(base, max_digits, e)))
+    order = draw(st.sampled_from(("walked", "up", "down", "shuffled")))
+    if order == "shuffled":
+        values = draw(st.permutations(values))
+    elif order != "walked":
+        values.sort(key=abs, reverse=order == "down")
+    return values, base
+
+
+def _rational_firsts(values, base):
+    return [extract_digits_rational(abs(int(v)), 1, 1, base).first for v in values]
 
 
 class TestFirstDigitDifferential:
@@ -158,5 +191,44 @@ class TestFirstDigitDifferential:
             assert first_digit(value, 10) == 7
             assert first_digit(value, 16) == leading_hex
             assert first_digit(-value, 10) == 7
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestStreamReaderDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_streams())
+    def test_matches_rational_path(self, case):
+        values, base = case
+        assert list(_first_digits(values, base)) == _rational_firsts(values, base)
+
+    def test_far_jumps_both_ways(self):
+        for base in range(2, 65):
+            values = [1, 7 * 10**3000, 2, -7 * 10**3000 + 1, base, base**2 - 1, base**900]
+            assert list(_first_digits(values, base)) == _rational_firsts(values, base)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from((np.int8, np.int16, np.int32, np.int64)))
+    def test_numpy_integers(self, data, dtype):
+        info = np.iinfo(dtype)
+        values, base = data.draw(_streams(len(str(info.max)) - 1))
+        values = [dtype(v) for v in values]
+        values.insert(data.draw(st.integers(0, len(values))), dtype(info.min))
+        assert list(_first_digits(values, base)) == _rational_firsts(values, base)
+
+    def test_far_jumps_take_one_power_each(self, monkeypatch):
+        # 200000 decimal digits apart: a reader that moves one digit at a
+        # time would take 200000 steps a jump.
+        def refuse(*args):
+            raise AssertionError("the stream reader left its one exact path")
+
+        value = 7 * 10**200000
+        leading_hex = value >> (value.bit_length() - 1) // 4 * 4
+        monkeypatch.setattr(significand, "extract_digits_rational", refuse)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert list(_first_digits([1, value] * 5, 10)) == [1, 7] * 5
+            assert list(_first_digits([value, -1] * 5, 16)) == [leading_hex, 1] * 5
         finally:
             sys.set_int_max_str_digits(limit)
