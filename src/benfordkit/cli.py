@@ -96,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
+    # A range, not a list: the law rejects position 19 while the rows are
+    # built, so a huge range costs what its text costs.
     lo, dots, hi = text.partition("..")
     try:
-        ks = list(range(int(lo), int(hi if dots else lo) + 1))
+        ks = range(int(lo), int(hi if dots else lo) + 1)
     except ValueError:
         raise DomainError(f"--k {text!r} is not a position or a range such as 1..7") from None
     if not ks:
@@ -223,7 +225,7 @@ def _expected_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
         return "k,mean,variance", [(k, *map(_fmt, law.moments(k))) for k in ks]
     if args.table == "tvd":
         return "k,tvd_from_uniform", [(k, _fmt(law.tvd_from_uniform(k))) for k in ks]
-    if len(ks) != 1:
+    if ks[1:]:  # not len(ks), which overflows past sys.maxsize positions
         raise DomainError("probs takes a single position")
     base = 10 if args.base is None else args.base
     if ks[0] != 1 and base != 10:
@@ -245,6 +247,8 @@ def cmd_expected(args: argparse.Namespace) -> int:
             raise DomainError(f"--table {args.table} takes no --{name.replace('_', '-')}")
     if args.sample_size is not None and args.sample_size < 1:
         raise DomainError(f"--sample-size must be >= 1, got {args.sample_size}")
+    if args.sample_size is not None and args.sample_size > sys.float_info.max:
+        raise DomainError(f"--sample-size must be <= {sys.float_info.max!r}")
     header, rows = _expected_rows(args)
     print(header, *(",".join(map(str, row)) for row in rows), sep="\n")
     return EXIT_OK

@@ -13,14 +13,14 @@ critical values; no chi-square CDF is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
-from .significand import ExactDecimal, digit_at, parse_token
+from .significand import MAX_EXTRACT_DIGITS, ExactDecimal, digit_at, parse_token
 
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
@@ -33,6 +33,8 @@ def digit_support(position: int, base: int) -> tuple[int, ...]:
         raise DomainError(f"base must be >= 2, got {base}")
     if position < 1:
         raise DomainError(f"position must be >= 1, got {position}")
+    if position > MAX_EXTRACT_DIGITS:
+        raise DomainError(f"position must be <= {MAX_EXTRACT_DIGITS}, got {position}")
     return tuple(range(1, base)) if position == 1 else tuple(range(base))
 
 
@@ -108,9 +110,6 @@ class DigitCensus:
 
     __add__ = merge
 
-    def with_exclusions(self, extra: int) -> "DigitCensus":
-        return replace(self, exclusions=self.exclusions + extra)
-
 
 Value = Union[ExactDecimal, int, float, str]
 
@@ -126,18 +125,23 @@ def _coerce(value: Value, separators: bool) -> ExactDecimal:
 
 
 def count_digits(
-    values: Iterable[ExactDecimal], position: int = 1, base: int = 10
+    values: Iterable[ExactDecimal | None], position: int = 1, base: int = 10
 ) -> DigitCensus:
     """Census of the ``position``-th significant digit of exact values.
 
-    The counting loop every value census goes through: zero values have
-    no significant digit and land in the exclusions tally.
+    The counting loop every value census goes through, and the one place
+    an exclusion is counted: a zero value has no significant digit, and a
+    ``None`` item stands for an input item with no value (a skipped token,
+    a cell that is not a numeric token); both land in the exclusions tally.
     """
     support = digit_support(position, base)
     offset = support[0]
     counts = [0] * len(support)
     exclusions = 0
     for value in values:
+        if value is None:
+            exclusions += 1
+            continue
         try:
             digit = digit_at(value, position, base)
         except ZeroValue:

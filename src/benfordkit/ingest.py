@@ -29,7 +29,8 @@ class ScanPolicy:
     skip_patterns are regexes matched against a token's raw text (after
     extraction, before the census); matches are excluded and counted, e.g.
     r"^\\d{4}$" to drop standalone 4-digit years. The default policy keeps
-    every numeric token.
+    every numeric token. ``compiled_skips`` raises DomainError, naming the
+    pattern, for one that is not a valid regex.
     """
 
     thousands_separators: bool = False
@@ -37,7 +38,11 @@ class ScanPolicy:
     columns: tuple[str, ...] | None = None
 
     def compiled_skips(self) -> list[re.Pattern[str]]:
-        return [re.compile(p) for p in self.skip_patterns]
+        try:
+            return [re.compile(p) for p in self.skip_patterns]
+        except re.error as exc:
+            raise DomainError(
+                f"skip pattern {exc.pattern!r} is not a valid regex: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -87,13 +92,14 @@ def scan_text(
                                   column=m.start() + 1, raw=m.group())
 
 
-def _iter_cells(
+def _table_items(
     data: str | bytes,
     fmt: str,
     policy: ScanPolicy,
     encoding: str,
-) -> Iterator[tuple[int, int, str]]:
-    """Yield (row number, table column, cell text) for the selected columns.
+) -> Iterator[NumberToken | None]:
+    """One item per selected cell, row by row: the cell's token, or None
+    for a cell that is not a numeric token.
 
     Row numbers count the header as row 1. Ragged rows raise FormatError
     with the offending row number.
@@ -124,7 +130,13 @@ def _iter_cells(
                 f"row {rowno}: expected {len(header)} fields, got {len(row)}"
             )
         for idx in selected:
-            yield rowno, idx + 1, row[idx].strip()
+            cell = row[idx].strip()
+            try:
+                value = parse_token(cell, separators=policy.thousands_separators)
+            except MalformedToken:
+                yield None
+            else:
+                yield NumberToken(value=value, line=rowno, column=idx + 1, raw=cell)
 
 
 def read_table(
@@ -136,52 +148,30 @@ def read_table(
     """Yield numeric tokens from the selected columns of a delimited file.
 
     The first row is a header. Cells that are not numeric tokens are
-    skipped here; the census builders count them as exclusions.
+    skipped here; ``census_from_table`` counts them as exclusions.
     """
-    return _table_tokens(data, fmt, policy, encoding, [0])
-
-
-def _table_tokens(
-    data: str | bytes,
-    fmt: str,
-    policy: ScanPolicy,
-    encoding: str,
-    non_numeric: list[int],
-) -> Iterator[NumberToken]:
-    """The tokens of ``read_table``; cells that are not numeric tokens are
-    skipped and tallied in ``non_numeric[0]``."""
-    for rowno, colno, cell in _iter_cells(data, fmt, policy, encoding):
-        try:
-            value = parse_token(cell, separators=policy.thousands_separators)
-        except MalformedToken:
-            non_numeric[0] += 1
-            continue
-        yield NumberToken(value=value, line=rowno, column=colno, raw=cell)
+    return (token for token in _table_items(data, fmt, policy, encoding)
+            if token is not None)
 
 
 def census_from_tokens(
-    tokens: Iterable[NumberToken],
+    tokens: Iterable[NumberToken | None],
     policy: ScanPolicy = ScanPolicy(),
     position: int = 1,
     base: int = 10,
 ) -> DigitCensus:
     """Census of token digits with policy exclusions applied.
 
-    Tokens matching a skip pattern, and zero-valued tokens (no significant
-    digit), are excluded and counted.
+    A token matching a skip pattern becomes a None item, which
+    ``count_digits`` excludes and counts, as it does a None token (a table
+    cell that is not a numeric token) and a zero value (no significant
+    digit).
     """
     skips = policy.compiled_skips()
-    skipped = 0
-
-    def kept() -> Iterator[ExactDecimal]:
-        nonlocal skipped
-        for token in tokens:
-            if any(rx.fullmatch(token.raw) for rx in skips):
-                skipped += 1
-            else:
-                yield token.value
-
-    return count_digits(kept(), position, base).with_exclusions(skipped)
+    return count_digits(
+        (None if token is None or any(rx.fullmatch(token.raw) for rx in skips)
+         else token.value for token in tokens),
+        position, base)
 
 
 def census_from_text(
@@ -203,11 +193,10 @@ def census_from_table(
     base: int = 10,
     encoding: str = "utf-8",
 ) -> DigitCensus:
-    """One-stop table read; non-numeric cells count as exclusions."""
-    non_numeric = [0]
-    tokens = _table_tokens(data, fmt, policy, encoding, non_numeric)
-    census = census_from_tokens(tokens, policy, position, base)
-    return census.with_exclusions(non_numeric[0])
+    """One-stop table read; every selected cell is an item of the census,
+    and one that is not a numeric token counts as an exclusion."""
+    return census_from_tokens(
+        _table_items(data, fmt, policy, encoding), policy, position, base)
 
 
 def dump_tokens_csv(tokens: Iterable[NumberToken], out: TextIO) -> int:

@@ -23,10 +23,11 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError
+from .significand import MAX_EXTRACT_DIGITS
 
 # Deepest position with a marginal: the deepest that digit extraction
-# supports (significand.MAX_EXTRACT_DIGITS).
-MAX_POSITION = 18
+# supports.
+MAX_POSITION = MAX_EXTRACT_DIGITS
 # Correlations sum over the 9 * 10**(j-2) prefixes of j - 1 digits; up to
 # j = 6 the integer products (10m + b)(10m + 10 - b) stay below 10**12.
 MAX_CORRELATION_POSITION = 6

@@ -47,7 +47,7 @@ class ReportDocument:
 
 
 def _expected_frequencies(census: DigitCensus) -> Optional[list[float]]:
-    if census.base == 10 and census.position <= law.MAX_POSITION:
+    if census.base == 10:
         return list(law.marginal_distribution(census.position).probabilities)
     if census.position == 1:
         return list(law.first_digit_distribution(census.base).probabilities)

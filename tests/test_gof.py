@@ -100,6 +100,7 @@ class TestBuildCensus:
         (2, -3, "base must be >= 2, got -3"),
         (0, 10, "position must be >= 1, got 0"),
         (-1, 16, "position must be >= 1, got -1"),
+        (19, 10, "position must be <= 18, got 19"),
     ])
     def test_base_and_position_outside_domain(self, position, base, message):
         # Each entry point rejects them before counting, not with an IndexError.

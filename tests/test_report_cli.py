@@ -164,13 +164,17 @@ class TestAnalyzeCommand:
         (["--base", "0"], "base must be >= 2, got 0"),
         (["--base", "-3"], "base must be >= 2, got -3"),
         (["--position", "0"], "position must be >= 1, got 0"),
+        (["--position", "19"], "position must be <= 18, got 19"),
+        (["--skip-shape", "("], "skip pattern '(' is not a valid regex:"
+                                " missing ), unterminated subpattern at position 0"),
     ])
     @pytest.mark.parametrize("name, text", [("e.txt", "12 0 7e3\n"),
                                             ("e.csv", "a,b\n12,3\n"),
                                             ("empty.txt", "")])
     def test_base_and_position_outside_domain(self, argv, message, name, text, tmp_path,
                                               capsys):
-        # One error line and no traceback, whether or not the file has numbers.
+        # One error line and no traceback, whether or not the file has
+        # numbers; an invalid skip shape is caught the same way.
         data = tmp_path / name
         data.write_text(text)
         assert cli.main(["analyze", str(data), *argv]) == 1
@@ -616,8 +620,18 @@ class TestExpectedCommand:
         (["--table", "probs", "--k", "x"],
          "--k 'x' is not a position or a range such as 1..7"),
         (["--table", "tvd", "--k", "0..2"], "position must lie in [1, 18], got 0"),
+        # Ranges whose position lists would not fit in memory, the last one
+        # longer than a list can be: the range is never listed.
+        (["--table", "moments", "--k", "1..1000000000000000"],
+         "position must lie in [1, 18], got 19"),
+        (["--table", "tvd", "--k", "3..1000000000000000"],
+         "position must lie in [1, 18], got 19"),
+        (["--table", "probs", "--k", "1..100000000000000000000"],
+         "probs takes a single position"),
         (["--sample-size", "0"], "--sample-size must be >= 1, got 0"),
         (["--sample-size", "-5"], "--sample-size must be >= 1, got -5"),
+        (["--sample-size", "1" + "0" * 400],
+         "--sample-size must be <= 1.7976931348623157e+308"),
         (["--base", "1"], "base must be >= 2, got 1"),
         (["--base", "0"], "base must be >= 2, got 0"),
         (["--base", "-3"], "base must be >= 2, got -3"),
