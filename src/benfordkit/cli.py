@@ -38,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="screen a dataset against the first-digit law")
     p.add_argument("path", help="input file (.csv/.tsv are read as tables, else text)")
-    p.add_argument("--column", action="append", help="table column to read (repeatable)")
+    p.add_argument("--column", action="append",
+                   help="table column to read (repeatable; .csv/.tsv only)")
     p.add_argument("--position", type=int, default=1, help="significant-digit position")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
@@ -120,8 +121,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         columns=tuple(args.column) if args.column else None,
     )
     path = Path(args.path)
-    data = path.read_bytes()
     suffix = path.suffix.lower()
+    if policy.columns is not None and suffix not in (".csv", ".tsv"):
+        raise DomainError(f"{path}: --column reads .csv and .tsv tables only")
+    data = path.read_bytes()
     try:
         if suffix in (".csv", ".tsv"):
             census = census_from_table(
@@ -227,10 +230,7 @@ def _expected_rows(args: argparse.Namespace) -> tuple[str, list[tuple]]:
         return "k,tvd_from_uniform", [(k, _fmt(law.tvd_from_uniform(k))) for k in ks]
     if ks[1:]:  # not len(ks), which overflows past sys.maxsize positions
         raise DomainError("probs takes a single position")
-    base = 10 if args.base is None else args.base
-    if ks[0] != 1 and base != 10:
-        raise DomainError("deep-position tables are base 10 only")
-    dist = law.first_digit_distribution(base) if ks[0] == 1 else law.marginal_distribution(ks[0])
+    dist = law.marginal_distribution(ks[0], 10 if args.base is None else args.base)
     pairs = zip(dist.support, dist.probabilities)
     if args.sample_size is None:
         return "digit,probability", [(d, _fmt(p)) for d, p in pairs]

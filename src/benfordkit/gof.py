@@ -8,19 +8,23 @@ it, over frequencies and scaled by the sample size:
 which is the Pearson statistic with the first-digit law as the expected
 distribution. Verdicts compare against the fixed 8-degree-of-freedom
 critical values; no chi-square CDF is involved.
+
+`testable` is the one rule for which censuses the tests apply to. They run
+on tuples summed with `math.fsum`, against `law.marginal_distribution`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
 from .significand import MAX_EXTRACT_DIGITS, ExactDecimal, digit_at, parse_token
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
@@ -96,9 +100,9 @@ class DigitCensus:
         return self.counts[self.support.index(digit)]
 
     def frequencies(self) -> np.ndarray:
-        if self.sample_size == 0:
-            raise EmptyCensus("census has no counted values")
-        return np.asarray(self.counts, dtype=np.float64) / self.sample_size
+        import numpy as np
+
+        return np.asarray(_observed(self))
 
     def merge(self, other: "DigitCensus") -> "DigitCensus":
         if (other.position, other.base) != (self.position, self.base):
@@ -167,26 +171,26 @@ def build_census(
     return count_digits((_coerce(v, separators) for v in values), position, base)
 
 
-def _check_testable(census: DigitCensus) -> np.ndarray:
-    if census.position != 1 or census.base != 10:
-        raise DomainError(
-            "conformance tests run on first-digit, base-10 censuses only; "
-            f"got position {census.position}, base {census.base}"
-        )
-    return census.frequencies()
+def testable(census: DigitCensus) -> bool:
+    """Whether the conformance tests apply: to first-digit, base-10 censuses."""
+    return census.position == 1 and census.base == 10
+
+
+def _observed(census: DigitCensus) -> tuple[float, ...]:
+    size = census.sample_size
+    if size == 0:
+        raise EmptyCensus("census has no counted values")
+    return tuple(c / size for c in census.counts)
 
 
 def benford_frequencies() -> np.ndarray:
     """Expected first-digit frequencies log10(1 + 1/n), n = 1..9."""
-    return law.first_digit_distribution(10).as_array()
+    return law.marginal_distribution(1).as_array()
 
 
 def chi_square(census: DigitCensus) -> float:
     """Chi-square statistic of the census against the first-digit law."""
-    observed = _check_testable(census)
-    expected = benford_frequencies()
-    terms = (expected - observed) ** 2 / expected
-    return math.fsum(terms.tolist()) * census.sample_size
+    return full_report(census).chi_square
 
 
 def tvd_benford(census: DigitCensus) -> float:
@@ -196,9 +200,8 @@ def tvd_benford(census: DigitCensus) -> float:
         raise DomainError(
             f"d1 needs a first-digit census, got position {census.position}"
         )
-    expected = law.first_digit_distribution(census.base).as_array()
-    deviations = np.abs(census.frequencies() - expected)
-    return 0.5 * math.fsum(deviations.tolist())
+    expected = law.marginal_distribution(1, census.base).probabilities
+    return 0.5 * math.fsum(abs(o - e) for o, e in zip(_observed(census), expected))
 
 
 def max_deviation(census: DigitCensus) -> tuple[float, int]:
@@ -206,13 +209,8 @@ def max_deviation(census: DigitCensus) -> tuple[float, int]:
 
     Ties go to the smaller digit.
     """
-    observed = _check_testable(census)
-    deviations = np.abs(observed - benford_frequencies())
-    best_digit, best = 1, -1.0
-    for digit, dev in zip(census.support, deviations):
-        if dev > best:
-            best, best_digit = float(dev), digit
-    return best, best_digit
+    report = full_report(census)
+    return report.d_max, report.d_max_digit
 
 
 @dataclass(frozen=True)
@@ -230,23 +228,34 @@ class GofReport:
     verdict_1pct: str
 
     def accepted(self, level: int = 5) -> bool:
+        """Whether the chi-square test accepts at the 5% or the 1% level."""
+        if level not in (5, 1):
+            raise DomainError(f"level must be 5 or 1, got {level}")
         verdict = self.verdict_5pct if level == 5 else self.verdict_1pct
         return verdict == "accept"
 
 
 def full_report(census: DigitCensus) -> GofReport:
     """Run all three tests and form verdicts at the 5% and 1% levels."""
-    observed = _check_testable(census)
-    chi2 = chi_square(census)
-    d_max, d_max_digit = max_deviation(census)
+    if not testable(census):
+        raise DomainError(
+            "conformance tests run on first-digit, base-10 censuses only; "
+            f"got position {census.position}, base {census.base}"
+        )
+    observed = _observed(census)
+    expected = law.marginal_distribution(1).probabilities
+    chi2 = math.fsum((e - o) * (e - o) / e for o, e in zip(observed, expected))
+    chi2 *= census.sample_size
+    deviations = [abs(o - e) for o, e in zip(observed, expected)]
+    d_max = max(deviations)
     return GofReport(
         chi_square=chi2,
-        d1=tvd_benford(census),
+        d1=0.5 * math.fsum(deviations),
         d_max=d_max,
-        d_max_digit=d_max_digit,
+        d_max_digit=deviations.index(d_max) + 1,  # the first of tied digits 1..9
         sample_size=census.sample_size,
-        observed_freq=tuple(float(x) for x in observed),
-        expected_freq=tuple(float(x) for x in benford_frequencies()),
+        observed_freq=observed,
+        expected_freq=expected,
         verdict_5pct="reject" if chi2 > CHI2_CRITICAL_5PCT else "accept",
         verdict_1pct="reject" if chi2 > CHI2_CRITICAL_1PCT else "accept",
     )

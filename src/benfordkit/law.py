@@ -114,15 +114,17 @@ def _closed_form(k: int) -> tuple[tuple[float, ...], float]:
 
 
 @lru_cache(maxsize=None)
-def marginal_distribution(k: int) -> DigitDistribution:
-    """Distribution of the k-th significant decimal digit.
+def marginal_distribution(k: int, base: int = 10) -> DigitDistribution:
+    """Distribution of the k-th significant digit in ``base``.
 
-    Position 1 is the first-digit law itself; deeper positions come from
-    the closed form in lnGamma differences.
+    Position 1 is the first-digit law of any base; deeper positions are
+    decimal only and come from the closed form in lnGamma differences.
     """
+    if k != 1 and base != 10:
+        raise DomainError("deep-position tables are base 10 only")
     _check_position(k)
     if k == 1:
-        return first_digit_distribution(10)
+        return first_digit_distribution(base)
     return DigitDistribution(k, tuple(range(10)), _closed_form(k)[0])
 
 

@@ -1,5 +1,9 @@
 """Report documents: census + statistics + metadata, serialized to
-JSON, CSV, or plain text with identical numeric content."""
+JSON, CSV, or plain text with identical numeric content.
+
+The CSV row is `to_json_dict` flattened; `gof.testable` decides which
+documents carry verdicts, `law.marginal_distribution` the expected law.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ from .gof import (
     DigitCensus,
     GofReport,
     full_report,
+    testable,
 )
 
 
@@ -46,14 +51,6 @@ class ReportDocument:
     histogram: tuple[HistogramRow, ...]
 
 
-def _expected_frequencies(census: DigitCensus) -> Optional[list[float]]:
-    if census.base == 10:
-        return list(law.marginal_distribution(census.position).probabilities)
-    if census.position == 1:
-        return list(law.first_digit_distribution(census.base).probabilities)
-    return None
-
-
 def build_report(
     census: DigitCensus,
     input_descriptor: str = "",
@@ -61,13 +58,15 @@ def build_report(
 ) -> ReportDocument:
     """Assemble the document for a census.
 
-    First-digit base-10 censuses get the full test battery; other
-    positions/bases are report-only (census and histogram, no verdicts).
+    Censuses the tests apply to (`gof.testable`) get the full test battery;
+    others are report-only (census and histogram, no verdicts), with the
+    expected law where `law.marginal_distribution` has one.
     """
-    testable = census.position == 1 and census.base == 10
-    gof = full_report(census) if testable and census.sample_size > 0 else None
-
-    expected = _expected_frequencies(census)
+    gof = full_report(census) if testable(census) and census.sample_size > 0 else None
+    try:
+        expected = law.marginal_distribution(census.position, census.base).probabilities
+    except DomainError:
+        expected = None
     size = census.sample_size
     rows = []
     for i, digit in enumerate(census.support):
@@ -133,37 +132,28 @@ def to_json(doc: ReportDocument) -> str:
 
 
 def to_csv(doc: ReportDocument) -> str:
-    """One summary row; per-digit columns are suffixed with the digit."""
-    gof = doc.gof
-    header = [
-        "input", "position", "base", "sample_size", "exclusions",
-        "chi_square", "df", "critical_p05", "critical_p01",
-        "d1", "d_max", "d_max_digit", "verdict_p05", "verdict_p01",
-    ]
-    row = [
-        doc.meta.get("input", ""), doc.census.position, doc.census.base,
-        doc.census.sample_size, doc.census.exclusions,
-        round12(gof.chi_square) if gof else "",
-        DEGREES_OF_FREEDOM, CHI2_CRITICAL_5PCT, CHI2_CRITICAL_1PCT,
-        round12(gof.d1) if gof else "",
-        round12(gof.d_max) if gof else "",
-        gof.d_max_digit if gof else "",
-        gof.verdict_5pct if gof else "",
-        gof.verdict_1pct if gof else "",
-    ]
-    for r in doc.histogram:
-        header.append(f"count_{r.digit}")
-        row.append(doc.census.count_of(r.digit))
-    for r in doc.histogram:
-        header.append(f"observed_{r.digit}")
-        row.append(round12(r.observed_freq))
-    for r in doc.histogram:
-        header.append(f"expected_{r.digit}")
-        row.append(round12(r.expected_freq) if r.expected_freq is not None else "")
+    """One summary row: the JSON document flattened.
+
+    Of the metadata the row keeps the input, position and base, and adds
+    the sample size. Nested keys are joined by "_" (critical_p05), each
+    per-digit list becomes one column per digit after the other fields
+    (count_1, observed_1, expected_1, ...), and None is an empty cell.
+    """
+    fields = to_json_dict(doc)
+    meta = fields.pop("meta")
+    row = {key: meta[key] for key in ("input", "position", "base")}
+    row["sample_size"] = doc.census.sample_size
+    per_digit = {}
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            row.update((f"{key}_{inner}", v) for inner, v in value.items())
+        elif isinstance(value, list):
+            name = key.removesuffix("s")  # counts -> count_1, count_2, ...
+            per_digit.update((f"{name}_{d}", v) for d, v in zip(meta["digits"], value))
+        else:
+            row[key] = value
     out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerow(row)
+    csv.writer(out).writerows([[*row, *per_digit], [*row.values(), *per_digit.values()]])
     return out.getvalue()
 
 

@@ -1,0 +1,150 @@
+"""The conformance statistics, expected-law lookup and CSV row as they were
+when the statistics ran on numpy arrays, for differential tests.
+
+`chi_square`, `tvd_benford`, `max_deviation` and `full_report` took the
+observed frequencies from `DigitCensus.frequencies()` and the expected ones
+from numpy arrays; `_expected_frequencies` picked the law per position and
+base; `to_csv` wrote its field list by hand. `benfordkit.gof` now runs on
+tuples with `math.fsum`, `benfordkit.report` reads the law from
+`law.marginal_distribution` and flattens the JSON document into the CSV
+row, and each must give the same numbers and the same text.
+
+These are verbatim copies, except that `_frequencies(census)` stands where
+they called `census.frequencies()`; it is a verbatim copy of that method's
+body. The census, report and document types are the package's.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+from typing import Optional
+
+import numpy as np
+
+from benfordkit import law
+from benfordkit.errors import DomainError, EmptyCensus
+from benfordkit.gof import (
+    CHI2_CRITICAL_1PCT,
+    CHI2_CRITICAL_5PCT,
+    DEGREES_OF_FREEDOM,
+    DigitCensus,
+    GofReport,
+)
+from benfordkit.report import ReportDocument, round12
+
+
+def _frequencies(self: DigitCensus) -> np.ndarray:
+    if self.sample_size == 0:
+        raise EmptyCensus("census has no counted values")
+    return np.asarray(self.counts, dtype=np.float64) / self.sample_size
+
+
+def _check_testable(census: DigitCensus) -> np.ndarray:
+    if census.position != 1 or census.base != 10:
+        raise DomainError(
+            "conformance tests run on first-digit, base-10 censuses only; "
+            f"got position {census.position}, base {census.base}"
+        )
+    return _frequencies(census)
+
+
+def benford_frequencies() -> np.ndarray:
+    """Expected first-digit frequencies log10(1 + 1/n), n = 1..9."""
+    return law.first_digit_distribution(10).as_array()
+
+
+def chi_square(census: DigitCensus) -> float:
+    """Chi-square statistic of the census against the first-digit law."""
+    observed = _check_testable(census)
+    expected = benford_frequencies()
+    terms = (expected - observed) ** 2 / expected
+    return math.fsum(terms.tolist()) * census.sample_size
+
+
+def tvd_benford(census: DigitCensus) -> float:
+    """Total variation distance d1 between a first-digit census, in any
+    base, and the first-digit law log_b(1 + 1/n) of that base."""
+    if census.position != 1:
+        raise DomainError(
+            f"d1 needs a first-digit census, got position {census.position}"
+        )
+    expected = law.first_digit_distribution(census.base).as_array()
+    deviations = np.abs(_frequencies(census) - expected)
+    return 0.5 * math.fsum(deviations.tolist())
+
+
+def max_deviation(census: DigitCensus) -> tuple[float, int]:
+    """Largest per-digit |observed - expected| frequency and its digit.
+
+    Ties go to the smaller digit.
+    """
+    observed = _check_testable(census)
+    deviations = np.abs(observed - benford_frequencies())
+    best_digit, best = 1, -1.0
+    for digit, dev in zip(census.support, deviations):
+        if dev > best:
+            best, best_digit = float(dev), digit
+    return best, best_digit
+
+
+def full_report(census: DigitCensus) -> GofReport:
+    """Run all three tests and form verdicts at the 5% and 1% levels."""
+    observed = _check_testable(census)
+    chi2 = chi_square(census)
+    d_max, d_max_digit = max_deviation(census)
+    return GofReport(
+        chi_square=chi2,
+        d1=tvd_benford(census),
+        d_max=d_max,
+        d_max_digit=d_max_digit,
+        sample_size=census.sample_size,
+        observed_freq=tuple(float(x) for x in observed),
+        expected_freq=tuple(float(x) for x in benford_frequencies()),
+        verdict_5pct="reject" if chi2 > CHI2_CRITICAL_5PCT else "accept",
+        verdict_1pct="reject" if chi2 > CHI2_CRITICAL_1PCT else "accept",
+    )
+
+
+def _expected_frequencies(census: DigitCensus) -> Optional[list[float]]:
+    if census.base == 10:
+        return list(law.marginal_distribution(census.position).probabilities)
+    if census.position == 1:
+        return list(law.first_digit_distribution(census.base).probabilities)
+    return None
+
+
+def to_csv(doc: ReportDocument) -> str:
+    """One summary row; per-digit columns are suffixed with the digit."""
+    gof = doc.gof
+    header = [
+        "input", "position", "base", "sample_size", "exclusions",
+        "chi_square", "df", "critical_p05", "critical_p01",
+        "d1", "d_max", "d_max_digit", "verdict_p05", "verdict_p01",
+    ]
+    row = [
+        doc.meta.get("input", ""), doc.census.position, doc.census.base,
+        doc.census.sample_size, doc.census.exclusions,
+        round12(gof.chi_square) if gof else "",
+        DEGREES_OF_FREEDOM, CHI2_CRITICAL_5PCT, CHI2_CRITICAL_1PCT,
+        round12(gof.d1) if gof else "",
+        round12(gof.d_max) if gof else "",
+        gof.d_max_digit if gof else "",
+        gof.verdict_5pct if gof else "",
+        gof.verdict_1pct if gof else "",
+    ]
+    for r in doc.histogram:
+        header.append(f"count_{r.digit}")
+        row.append(doc.census.count_of(r.digit))
+    for r in doc.histogram:
+        header.append(f"observed_{r.digit}")
+        row.append(round12(r.observed_freq))
+    for r in doc.histogram:
+        header.append(f"expected_{r.digit}")
+        row.append(round12(r.expected_freq) if r.expected_freq is not None else "")
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerow(row)
+    return out.getvalue()

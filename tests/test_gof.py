@@ -184,6 +184,19 @@ class TestFullReport:
         )
         assert r.accepted(5) and r.accepted(1)
 
+    def test_accepted_reads_the_level_asked_for(self):
+        # Chi-square 16.99 lies between the 5% and the 1% critical values.
+        r = full_report(census((63, 37, 18, 15, 15, 13, 7, 7, 19)))
+        assert r.chi_square == pytest.approx(16.992, abs=0.001)
+        assert not r.accepted(5) and not r.accepted()
+        assert r.accepted(1)
+
+    @pytest.mark.parametrize("level", [0, 10, 2, -5])
+    def test_accepted_rejects_other_levels(self, level):
+        r = full_report(census(TABLE4_COUNTS))
+        with pytest.raises(DomainError, match=f"^level must be 5 or 1, got {level}$"):
+            r.accepted(level)
+
     def test_verdicts_track_thresholds(self):
         rng = np.random.default_rng(42)
         for _ in range(300):

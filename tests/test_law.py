@@ -151,6 +151,17 @@ class TestMarginal:
         with pytest.raises(DomainError):
             marginal_distribution(MAX_POSITION + 1)
 
+    def test_position_one_in_any_base_is_first_digit_law(self):
+        for base in range(2, 65):
+            assert marginal_distribution(1, base) == first_digit_distribution(base)
+
+    @pytest.mark.parametrize("k, base", [(2, 16), (3, 2), (MAX_POSITION, 7), (0, 16),
+                                         (MAX_POSITION + 1, 16), (2, 1)])
+    def test_deep_positions_are_base_ten_only(self, k, base):
+        # Checked before the position and the base themselves.
+        with pytest.raises(DomainError, match="^deep-position tables are base 10 only$"):
+            marginal_distribution(k, base)
+
     def test_distribution_prob_lookup(self):
         dist = marginal_distribution(2)
         with pytest.raises(DomainError):

@@ -138,6 +138,27 @@ class TestAnalyzeCommand:
         assert out.out == ""
         assert out.err == f"error: {data}: column 'a' appears 2 times in the header\n"
 
+    @pytest.mark.parametrize("name", ["t.txt", "t", "t.dat", "missing.txt"])
+    @pytest.mark.parametrize("columns", [["nope"], ["a", "b"]])
+    def test_column_on_text_input_errors(self, name, columns, tmp_path, capsys):
+        # --column selects table columns; a text file has none to select.
+        data = tmp_path / name
+        if name != "missing.txt":
+            data.write_text("12 7 300")
+        flags = [x for c in columns for x in ("--column", c)]
+        assert cli.main(["analyze", str(data), *flags, "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: --column reads .csv and .tsv tables only\n"
+
+    @pytest.mark.parametrize("name", ["t.csv", "t.TSV"])
+    def test_column_on_table_input_reads_it(self, name, tmp_path, capsys):
+        data = tmp_path / name
+        sep = "," if name.endswith(".csv") else "\t"
+        data.write_text(f"a{sep}b\n12{sep}x\n34{sep}y\n")
+        assert cli.main(["analyze", str(data), "--column", "a", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"][:3] == [1, 0, 1]
+
     def test_skip_shapes_and_separators(self, tmp_path, capsys):
         data = tmp_path / "notes.txt"
         data.write_text("in 1999 sales hit 2,300 then 48")
@@ -636,6 +657,18 @@ class TestExpectedCommand:
         (["--base", "0"], "base must be >= 2, got 0"),
         (["--base", "-3"], "base must be >= 2, got -3"),
         (["--base", "1", "--sample-size", "3"], "base must be >= 2, got 1"),
+        # A deep position in another base is refused before the position
+        # and the base are checked.
+        (["--table", "probs", "--k", "2", "--base", "16"],
+         "deep-position tables are base 10 only"),
+        (["--table", "probs", "--k", "0", "--base", "16"],
+         "deep-position tables are base 10 only"),
+        (["--table", "probs", "--k", "19", "--base", "16"],
+         "deep-position tables are base 10 only"),
+        (["--table", "probs", "--k", "2", "--base", "1"],
+         "deep-position tables are base 10 only"),
+        (["--table", "probs", "--k", "0"], "position must lie in [1, 18], got 0"),
+        (["--table", "probs", "--k", "1", "--base", "1"], "base must be >= 2, got 1"),
     ])
     def test_bad_arguments_print_nothing(self, argv, message, capsys):
         assert cli.main(["expected", *argv]) == 1
