@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
@@ -129,14 +129,15 @@ def _coerce(value: Value, separators: bool) -> ExactDecimal:
 
 
 def count_digits(
-    values: Iterable[ExactDecimal | None], position: int = 1, base: int = 10
+    values: Iterable, position: int = 1, base: int = 10, read: Callable[..., int] = digit_at
 ) -> DigitCensus:
-    """Census of the ``position``-th significant digit of exact values.
+    """Census of the ``position``-th significant digit of values, each read
+    by ``read(value, position, base)``: ``digit_at`` for exact values.
 
     The counting loop every value census goes through, and the one place
-    an exclusion is counted: a zero value has no significant digit, and a
-    ``None`` item stands for an input item with no value (a skipped token,
-    a cell that is not a numeric token); both land in the exclusions tally.
+    an exclusion is counted: a zero value (``read`` raises ZeroValue) and a
+    ``None`` item, an input item with no value (a skipped token, a cell
+    that is not a numeric token), land in the exclusions tally.
     """
     support = digit_support(position, base)
     offset = support[0]
@@ -147,7 +148,7 @@ def count_digits(
             exclusions += 1
             continue
         try:
-            digit = digit_at(value, position, base)
+            digit = read(value, position, base)
         except ZeroValue:
             exclusions += 1
             continue

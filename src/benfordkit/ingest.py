@@ -7,6 +7,12 @@ surrounding prose never causes an error. Tokens glued to letters ("A4",
 "v2.0") are not numbers and are left alone. What counts as standalone is
 decided in one place, the token pattern (``significand.token_pattern``):
 the scanner runs it once over each line and keeps the matches it marks.
+A table cell is a token when the token grammar matches all of it.
+
+The token records (``scan_text``, ``read_table``) and the censuses
+(``census_from_text``, ``census_from_table``) walk the same matches. The
+censuses count each digit straight from its match: in base 10 off the
+written digits, with no record built and the exponent never read.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
-from .errors import DomainError, EncodingError, FormatError, MalformedToken, MissingColumn
+from .errors import DomainError, EncodingError, FormatError, MissingColumn
 from .gof import DigitCensus, count_digits
-from .significand import ExactDecimal, _decimal_from_match, parse_token, token_pattern
+from .significand import _TOKEN, ExactDecimal, _decimal_from_match, _match_digit, token_pattern
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,24 @@ class NumberToken:
 
 
 def _decode(data: str | bytes, encoding: str) -> str:
-    if isinstance(data, str):
-        return data
-    try:
-        return data.decode(encoding)
-    except (UnicodeDecodeError, LookupError) as exc:
-        raise EncodingError(f"cannot decode input as {encoding}: {exc}") from exc
+    """The text, without one leading byte-order mark (U+FEFF)."""
+    if not isinstance(data, str):
+        try:
+            data = data.decode(encoding)
+        except (UnicodeDecodeError, LookupError) as exc:
+            raise EncodingError(f"cannot decode input as {encoding}: {exc}") from exc
+    return data.removeprefix("\ufeff")
+
+
+def _text_matches(
+    data: str | bytes, encoding: str, separators: bool
+) -> Iterator[tuple[int, re.Match[str]]]:
+    """(line number, match) for every standalone token, line by line."""
+    pattern = token_pattern(separators)
+    for lineno, line in enumerate(_decode(data, encoding).splitlines(), start=1):
+        for m in pattern.finditer(line):
+            if m.group("alone") is not None:
+                yield lineno, m
 
 
 def scan_text(
@@ -83,13 +101,9 @@ def scan_text(
     words are skipped; the token pattern decides. Non-numeric text never raises; the only possible
     error is a bytes input that fails to decode.
     """
-    text = _decode(data, encoding)
-    pattern = token_pattern(policy.thousands_separators)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for m in pattern.finditer(line):
-            if m.group("alone") is not None:
-                yield NumberToken(value=_decimal_from_match(m), line=lineno,
-                                  column=m.start() + 1, raw=m.group())
+    for lineno, m in _text_matches(data, encoding, policy.thousands_separators):
+        yield NumberToken(value=_decimal_from_match(m), line=lineno,
+                          column=m.start() + 1, raw=m.group())
 
 
 def _table_items(
@@ -97,18 +111,20 @@ def _table_items(
     fmt: str,
     policy: ScanPolicy,
     encoding: str,
-) -> Iterator[NumberToken | None]:
-    """One item per selected cell, row by row: the cell's token, or None
-    for a cell that is not a numeric token.
+) -> Iterator[tuple[int, int, re.Match[str] | None]]:
+    """(row number, table column, token match) for every selected cell,
+    row by row; the match is None for a cell that is not a numeric token.
 
-    Row numbers count the header as row 1. Ragged rows raise FormatError
-    with the offending row number.
+    Row numbers count every record, the header included; empty records
+    (blank lines) are skipped. Ragged rows raise FormatError with the
+    offending row number.
     """
     if fmt not in ("csv", "tsv"):
         raise FormatError(f"unsupported table format {fmt!r}")
     text = _decode(data, encoding)
     reader = csv.reader(io.StringIO(text), delimiter="," if fmt == "csv" else "\t")
-    header = next(reader, None)
+    rows = ((rowno, row) for rowno, row in enumerate(reader, start=1) if row)
+    _, header = next(rows, (None, None))
     if header is None:
         return
     if policy.columns is None:
@@ -124,19 +140,14 @@ def _table_items(
             if header.index(name) in selected:
                 raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))
-    for rowno, row in enumerate(reader, start=2):
+    cell_token = _TOKEN[policy.thousands_separators].fullmatch
+    for rowno, row in rows:
         if len(row) != len(header):
             raise FormatError(
                 f"row {rowno}: expected {len(header)} fields, got {len(row)}"
             )
         for idx in selected:
-            cell = row[idx].strip()
-            try:
-                value = parse_token(cell, separators=policy.thousands_separators)
-            except MalformedToken:
-                yield None
-            else:
-                yield NumberToken(value=value, line=rowno, column=idx + 1, raw=cell)
+            yield rowno, idx, cell_token(row[idx].strip())
 
 
 def read_table(
@@ -147,11 +158,12 @@ def read_table(
 ) -> Iterator[NumberToken]:
     """Yield numeric tokens from the selected columns of a delimited file.
 
-    The first row is a header. Cells that are not numeric tokens are
-    skipped here; ``census_from_table`` counts them as exclusions.
+    The first non-empty row is the header. Cells that are not numeric
+    tokens are skipped here; ``census_from_table`` counts them as exclusions.
     """
-    return (token for token in _table_items(data, fmt, policy, encoding)
-            if token is not None)
+    return (NumberToken(value=_decimal_from_match(m), line=rowno, column=idx + 1,
+                        raw=m.group())
+            for rowno, idx, m in _table_items(data, fmt, policy, encoding) if m is not None)
 
 
 def census_from_tokens(
@@ -174,6 +186,18 @@ def census_from_tokens(
         position, base)
 
 
+def _match_census(
+    matches: Iterable[re.Match[str] | None], policy: ScanPolicy, position: int, base: int
+) -> DigitCensus:
+    """``census_from_tokens`` over token matches: the same items, each
+    counted straight from its match (``_match_digit``), no record built."""
+    skips = policy.compiled_skips()
+    return count_digits(
+        (None if m is None or any(rx.fullmatch(m.group()) for rx in skips) else m
+         for m in matches),
+        position, base, _match_digit)
+
+
 def census_from_text(
     data: str | bytes,
     policy: ScanPolicy = ScanPolicy(),
@@ -182,7 +206,8 @@ def census_from_text(
     encoding: str = "utf-8",
 ) -> DigitCensus:
     """One-stop scan: text in, digit census out."""
-    return census_from_tokens(scan_text(data, policy, encoding), policy, position, base)
+    matches = _text_matches(data, encoding, policy.thousands_separators)
+    return _match_census((m for _, m in matches), policy, position, base)
 
 
 def census_from_table(
@@ -195,8 +220,8 @@ def census_from_table(
 ) -> DigitCensus:
     """One-stop table read; every selected cell is an item of the census,
     and one that is not a numeric token counts as an exclusion."""
-    return census_from_tokens(
-        _table_items(data, fmt, policy, encoding), policy, position, base)
+    return _match_census((m for _, _, m in _table_items(data, fmt, policy, encoding)),
+                         policy, position, base)
 
 
 def dump_tokens_csv(tokens: Iterable[NumberToken], out: TextIO) -> int:

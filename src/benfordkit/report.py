@@ -82,7 +82,7 @@ def build_report(
     meta = {
         "input": input_descriptor,
         "policy": policy_description or {},
-        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "timestamp": _timestamp(),
         "version": __version__,
         "seed": None,  # kept in the schema; a report draws nothing at random
         "position": census.position,
@@ -90,6 +90,23 @@ def build_report(
         "digits": list(census.support),
     }
     return ReportDocument(meta=meta, census=census, gof=gof, histogram=tuple(rows))
+
+
+def _timestamp() -> str:
+    """Now, in UTC; or, when SOURCE_DATE_EPOCH is set, the time it gives in
+    whole seconds since 1970, so that two runs print the same bytes."""
+    import os
+
+    epoch = os.environ.get("SOURCE_DATE_EPOCH")
+    if epoch is None:
+        return datetime.now(timezone.utc).isoformat()
+    if epoch.isascii() and epoch.isdigit():
+        try:
+            return datetime.fromtimestamp(int(epoch), timezone.utc).isoformat()
+        except (ValueError, OverflowError, OSError):
+            pass
+    raise DomainError(
+        f"SOURCE_DATE_EPOCH must be whole seconds since 1970 within year 9999, got {epoch!r}")
 
 
 def verify_report(doc: ReportDocument) -> bool:

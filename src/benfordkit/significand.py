@@ -220,20 +220,18 @@ def extract_digits_rational(
     return SignificantDigits(base=base, digits=tuple(digits), exponent=e)
 
 
-def _decimal_significand(value: ExactDecimal, k: int) -> tuple[str, int]:
-    """The first k significant base-10 digits of a nonzero value, padded
-    with zeros past the stored ones, and the power of ten of the first.
+def _decimal_significand(digits: str, exponent: int, k: int) -> tuple[str, int]:
+    """The first k significant base-10 digits of the nonzero 0.<digits> *
+    10**exponent, padded with zeros, and the power of ten of the first.
 
-    This is the one place a base-10 digit is read: straight off the stored
-    digit string, with no Fraction and no power of ten built.
+    This is the one place a base-10 digit is read: straight off a digit
+    string, with no Fraction and no power of ten built.
     """
-    digits = value.digits
     if not digits.isascii():
         # Other Unicode decimal digits ("٣", "３") read as their values.
         digits = "".join(str(int(c)) for c in digits)
-    exponent = value.exponent
     if digits[0] == "0":
-        # A zero, or a record built with leading zeros (ExactDecimal(1, "0123", 5)).
+        # A zero, or digits with leading zeros ("0.05", ExactDecimal(1, "0123", 5)).
         stripped = digits.lstrip("0")
         if not stripped:
             raise ZeroValue("value is zero; no significant digit exists")
@@ -252,7 +250,7 @@ def extract_digits(value: ExactDecimal, k: int, base: int = 10) -> SignificantDi
     the stored digits, other bases go through the exact rational value.
     """
     if base == 10:
-        digits, exponent = _decimal_significand(value, k)
+        digits, exponent = _decimal_significand(value.digits, value.exponent, k)
         return SignificantDigits(10, tuple(map(int, digits)), exponent)
     if value.is_zero:
         raise ZeroValue("value is zero; no significant digit exists")
@@ -268,8 +266,18 @@ def digit_at(value: ExactDecimal, position: int, base: int = 10) -> int:
     1..MAX_EXTRACT_DIGITS. In base 10 no SignificantDigits is built.
     """
     if base == 10:
-        return int(_decimal_significand(value, position)[0][-1])
+        return int(_decimal_significand(value.digits, value.exponent, position)[0][-1])
     return extract_digits(value, position, base).digits[-1]
+
+
+def _match_digit(m: re.Match[str], position: int, base: int) -> int:
+    """``digit_at`` of the token a grammar match holds. Base 10 reads the
+    written digits, so it builds no record and never reads the exponent."""
+    if base != 10:
+        return digit_at(_decimal_from_match(m), position, base)
+    int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")
+    written = (int_part or "").replace(",", "") + (frac or lone_frac or "")
+    return int(_decimal_significand(written, 0, position)[0][-1])
 
 
 def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigits:

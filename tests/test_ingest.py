@@ -1,10 +1,13 @@
 import io
 import random
 import string
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ingest_oracle
+from benfordkit import gof, ingest, significand
 from benfordkit.errors import DomainError, EncodingError, FormatError, MissingColumn
 from benfordkit.ingest import (
     NumberToken,
@@ -16,7 +19,7 @@ from benfordkit.ingest import (
     read_table,
     scan_text,
 )
-from benfordkit.significand import extract_digits, parse_token
+from benfordkit.significand import ExactDecimal, extract_digits, parse_token
 
 
 def values(tokens):
@@ -122,6 +125,13 @@ class TestCensusFromText:
         assert census.count_of(2) == 1
         assert census.count_of(5) == 1
 
+    def test_grouped_digits_read_past_the_commas(self):
+        policy = ScanPolicy(thousands_separators=True)
+        assert census_from_text("2,300 1,234,567 -9,876.5", policy, position=2).counts == (
+            0, 0, 1, 1, 0, 0, 0, 0, 1, 0)
+        assert census_from_text("2,300 1,234,567", policy, position=4).counts == (
+            1, 0, 0, 0, 1, 0, 0, 0, 0, 0)
+
 
 class TestReadTable:
     CSV = "name,val\na,0.150\nb,129\n"
@@ -224,3 +234,105 @@ class TestTokenPipeline:
     def test_number_token_fields(self):
         token = NumberToken(parse_token("7"), line=3, column=9, raw="7")
         assert token.source == (3, 9)
+
+
+class TestBlankRecords:
+    # Spreadsheets and editors leave blank lines in CSV/TSV files; csv.reader
+    # reads each as an empty record, which is skipped.
+    @pytest.mark.parametrize("text", ["a,b\n12,3\n40,5\n\n", "a,b\n12,3\n\n40,5\n",
+                                      "\na,b\n12,3\n\n\n40,5\n"])
+    def test_blank_lines_skipped(self, text):
+        assert values(read_table(text)) == [12, 3, 40, 5]
+        assert census_from_table(text) == census_from_table("a,b\n12,3\n40,5\n")
+        assert census_from_table(text.replace(",", "\t"), "tsv").sample_size == 4
+
+    def test_row_numbers_count_physical_rows(self):
+        tokens = list(read_table("a,b\n\n12,3\n\n40,5\n"))
+        assert [(t.line, t.column) for t in tokens] == [(3, 1), (3, 2), (5, 1), (5, 2)]
+        with pytest.raises(FormatError, match="row 4: expected 2 fields, got 1"):
+            census_from_table("a,b\n12,3\n\n7\n")
+
+    def test_header_after_blank_lines(self):
+        policy = ScanPolicy(columns=("b",))
+        assert values(read_table("\n\na,b\n12,3\n", policy=policy)) == [3]
+
+
+class TestByteOrderMark:
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; one is dropped.
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])
+    @pytest.mark.parametrize("encode", [str, str.encode])
+    def test_first_header_cell(self, fmt, sep, encode):
+        data = encode(f"\ufeffamount{sep}b\n12{sep}x\n3{sep}4\n")
+        policy = ScanPolicy(columns=("amount",))
+        assert values(read_table(data, fmt, policy)) == [12, 3]
+        assert census_from_table(data, fmt, policy).counts == (1, 0, 1, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("encode", [str, str.encode])
+    def test_text(self, encode):
+        tokens = list(scan_text(encode("\ufeff12 7")))
+        assert [(t.raw, t.column) for t in tokens] == [("12", 1), ("7", 4)]
+        assert census_from_text(encode("\ufeff12 7")).sample_size == 2
+
+    def test_only_one_mark_dropped(self):
+        assert [t.column for t in scan_text("\ufeff\ufeff5")] == [2]
+
+
+class TestExponentsPastStrDigitLimit:
+    # int() refuses more than 4300 digits; the base-10 census never reads
+    # the exponent, so it counts these tokens.
+    HUGE = f"1e{'9' * 5000}"
+
+    def test_text_census(self):
+        census = census_from_text(f"5 {self.HUGE} 7")
+        assert (census.counts, census.exclusions) == ((1, 0, 0, 0, 1, 0, 1, 0, 0), 0)
+        assert census_from_text(f"-0.0e{'9' * 5000}").exclusions == 1
+
+    def test_table_census(self):
+        census = census_from_table(f"v\n5\n{self.HUGE}\n7\n")
+        assert (census.counts, census.exclusions) == ((1, 0, 0, 0, 1, 0, 1, 0, 0), 0)
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="needs CPython's int/str digit limit")
+    def test_other_bases_and_records_still_raise(self):
+        # Bounding these is a separate change: an exponent cap with its own
+        # exclusion reason.
+        with pytest.raises(ValueError):
+            census_from_text(f"5 {self.HUGE} 7", base=16)
+        with pytest.raises(ValueError):
+            census_from_table(f"v\n5\n{self.HUGE}\n7\n", base=7)
+        with pytest.raises(ValueError):
+            list(scan_text(self.HUGE))
+        with pytest.raises(ValueError):
+            list(read_table(f"v\n{self.HUGE}\n"))
+
+
+class TestCensusFromMatches:
+    # The base-10 censuses count straight from the token match: no exact
+    # record, no token and no parse per item.
+    TEXT = ("in 1999 sales of 2,300 rose 0.150 to -6.626e-34, then 0 and 00.0e5; "
+            "٣٣ and ３.５ v2.0 A4 9.5e999999999 .05 +7\r\n1,234,567 and 12,34")
+    TABLE = "a,b,c\n0,word,1999\n2,300,.5\n٣٣,-7e-3, 12 \nN/A,1e5x,0.00\n"
+
+    @pytest.fixture
+    def refuse_records(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a base-10 census built a token record")
+
+        def install():
+            monkeypatch.setattr(ExactDecimal, "__post_init__", refuse)
+            monkeypatch.setattr(ingest, "NumberToken", refuse)
+            monkeypatch.setattr(significand, "parse_token", refuse)
+            monkeypatch.setattr(gof, "parse_token", refuse)
+        return install
+
+    @pytest.mark.parametrize("separators", [False, True])
+    @pytest.mark.parametrize("skips", [(), (r"\d{4}",)])
+    def test_same_censuses_without_records(self, separators, skips, refuse_records):
+        policy = ScanPolicy(thousands_separators=separators, skip_patterns=skips)
+        expected = [(ingest_oracle.census_from_tokens(scan_text(self.TEXT, policy), policy, k),
+                     ingest_oracle.census_from_table(self.TABLE, "csv", policy, k))
+                    for k in (1, 2, 3)]
+        refuse_records()
+        assert [(census_from_text(self.TEXT, policy, k),
+                 census_from_table(self.TABLE, "csv", policy, k)) for k in (1, 2, 3)] == expected
+        assert expected[0][0].exclusions > 0 and expected[0][1].exclusions > 0

@@ -1,7 +1,8 @@
 """Differential tests of the table reader and token census: one item per
 selected cell, with every exclusion counted in `gof.count_digits`, against
 the reader and census that tallied non-numeric cells and skip-pattern
-matches on the side (`ingest_oracle`)."""
+matches on the side (`ingest_oracle`). The text and table censuses count
+straight from the token matches; the oracle counts the token records."""
 
 import csv
 import io
@@ -27,6 +28,13 @@ _cell = st.one_of(
     st.text(alphabet="0123456789.,eE+- a٣", max_size=8),
 )
 _SKIPS = [(), (r"\d{4}",), (r"-.*", r"\d")]
+
+
+# The scanner's alphabet (`test_scan_differential`), with every line break
+# str.splitlines knows of that matters here: CRLF, vertical tab, NEL and
+# the line separator.
+_PIECES = (list("0123456789+-.,eE _axZ") + ["٣", "３", "²", "½", "Ⅷ", "é"]
+           + ["\n", "\r\n", "\x0b", "\x85", "\u2028"])
 
 
 @st.composite
@@ -62,6 +70,16 @@ def test_text_census_matches_oracle(table, position, base):
     data, _, policy = table
     assert (census_from_text(data, policy, position, base)
             == ingest_oracle.census_from_tokens(scan_text(data, policy), policy,
+                                                position, base))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.booleans(),
+       st.sampled_from(_SKIPS), st.integers(1, 3), st.sampled_from([10, 16]))
+def test_scanned_text_census_matches_oracle(text, separators, skips, position, base):
+    policy = ScanPolicy(thousands_separators=separators, skip_patterns=skips)
+    assert (census_from_text(text, policy, position, base)
+            == ingest_oracle.census_from_tokens(scan_text(text, policy), policy,
                                                 position, base))
 
 

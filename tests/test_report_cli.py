@@ -238,6 +238,65 @@ class TestAnalyzeCommand:
         assert code in (0, 2)
         assert doc["counts"] == counts
 
+    def test_exponents_past_str_digit_limit_count(self, tmp_path, capsys):
+        # int() refuses an exponent of more than 4300 digits; base 10 never
+        # reads the exponent.
+        huge = f"1e{'9' * 5000}"
+        for name, text in (("x.txt", f"5 {huge} 7"), ("x.csv", f"v\n5\n{huge}\n7\n")):
+            data = tmp_path / name
+            data.write_text(text)
+            code = cli.main(["analyze", str(data), "--format", "json"])
+            out = capsys.readouterr()
+            assert code in (0, 2) and out.err == ""
+            assert json.loads(out.out)["counts"] == [1, 0, 0, 0, 1, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("text", ["a,b\n12,3\n40,5\n\n", "a,b\n12,3\n\n40,5\n"])
+    def test_blank_lines_in_table(self, text, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text(text)
+        code = cli.main(["analyze", str(data), "--format", "json"])
+        out = capsys.readouterr()
+        assert code in (0, 2) and out.err == ""
+        assert json.loads(out.out)["counts"] == [1, 0, 1, 1, 1, 0, 0, 0, 0]
+
+    def test_ragged_row_after_blank_line_errors(self, tmp_path, capsys):
+        data = tmp_path / "t.csv"
+        data.write_text("a,b\n12,3\n\n7\n")
+        assert cli.main(["analyze", str(data)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: row 4: expected 2 fields, got 1\n"
+
+    @pytest.mark.parametrize("name, sep", [("bom.csv", ","), ("bom.tsv", "\t")])
+    def test_byte_order_mark_before_header(self, name, sep, tmp_path, capsys):
+        data = tmp_path / name
+        data.write_bytes(f"\ufeffamount{sep}b\n12{sep}x\n34{sep}y\n".encode())
+        assert cli.main(["analyze", str(data), "--column", "amount", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["counts"][:3] == [1, 0, 1]
+
+    def test_source_date_epoch_makes_runs_identical(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "vals.txt"
+        data.write_text("129 257 384 0")
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        runs = []
+        for _ in range(2):
+            code = cli.main(["analyze", str(data), "--format", "json"])
+            runs.append((code, capsys.readouterr()))
+        assert runs[0] == runs[1]
+        assert json.loads(runs[0][1].out)["meta"]["timestamp"] == "2023-11-14T22:13:20+00:00"
+
+    @pytest.mark.parametrize("value", ["", "abc", "1.5", " 5", "-1", "١٢", "9" * 30])
+    def test_source_date_epoch_not_whole_seconds_errors(self, value, tmp_path, capsys,
+                                                       monkeypatch):
+        data = tmp_path / "vals.txt"
+        data.write_text("129 257 384")
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        assert cli.main(["analyze", str(data), "--format", "json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: SOURCE_DATE_EPOCH must be whole seconds since 1970"
+                           f" within year 9999, got {value!r}\n")
+
     def test_deep_position_has_expected_marginal(self, tmp_path, capsys):
         data = tmp_path / "vals.txt"
         data.write_text("123456789 987654321.5 1.0000000005")
