@@ -11,6 +11,8 @@ critical values; no chi-square CDF is involved.
 
 `testable` is the one rule for which censuses the tests apply to. They run
 on tuples summed with `math.fsum`, against `law.marginal_distribution`.
+Which positions, bases and digits a census may have is `significand`'s
+rule; `digit_support` is re-exported from there.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
-from .significand import MAX_EXTRACT_DIGITS, ExactDecimal, digit_at, parse_token
+from .significand import ExactDecimal, digit_at, digit_support, parse_token
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,17 +31,6 @@ if TYPE_CHECKING:
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
 DEGREES_OF_FREEDOM = 8
-
-
-def digit_support(position: int, base: int) -> tuple[int, ...]:
-    """Possible digit values at a significant-digit position."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if position < 1:
-        raise DomainError(f"position must be >= 1, got {position}")
-    if position > MAX_EXTRACT_DIGITS:
-        raise DomainError(f"position must be <= {MAX_EXTRACT_DIGITS}, got {position}")
-    return tuple(range(1, base)) if position == 1 else tuple(range(base))
 
 
 @dataclass(frozen=True)

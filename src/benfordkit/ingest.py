@@ -106,6 +106,18 @@ def scan_text(
                           column=m.start() + 1, raw=m.group())
 
 
+def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, row) for every non-empty record of a csv reader; a
+    record the reader cannot read raises FormatError naming its row."""
+    rowno = 0
+    try:
+        for rowno, row in enumerate(reader, start=1):
+            if row:
+                yield rowno, row
+    except csv.Error as exc:
+        raise FormatError(f"row {rowno + 1}: {exc}") from None
+
+
 def _table_items(
     data: str | bytes,
     fmt: str,
@@ -116,14 +128,15 @@ def _table_items(
     row by row; the match is None for a cell that is not a numeric token.
 
     Row numbers count every record, the header included; empty records
-    (blank lines) are skipped. Ragged rows raise FormatError with the
-    offending row number.
+    (blank lines) are skipped. Records may end in CR, LF or CRLF. Ragged
+    rows, and records the csv module cannot read (a cell longer than its
+    field size limit), raise FormatError with the offending row number.
     """
     if fmt not in ("csv", "tsv"):
         raise FormatError(f"unsupported table format {fmt!r}")
     text = _decode(data, encoding)
-    reader = csv.reader(io.StringIO(text), delimiter="," if fmt == "csv" else "\t")
-    rows = ((rowno, row) for rowno, row in enumerate(reader, start=1) if row)
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter="," if fmt == "csv" else "\t")
+    rows = _records(reader)
     _, header = next(rows, (None, None))
     if header is None:
         return

@@ -23,7 +23,7 @@ import mpmath
 import numpy as np
 
 from .errors import DomainError
-from .significand import MAX_EXTRACT_DIGITS
+from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_support
 
 # Deepest position with a marginal: the deepest that digit extraction
 # supports.
@@ -55,8 +55,7 @@ class DigitDistribution:
 
 def first_digit_prob(d: int, base: int = 10) -> float:
     """P(first significant digit = d) in ``base``: log_base(1 + 1/d)."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
+    check_base(base)
     if d < 1 or d > base - 1:
         raise DomainError(f"first digit must lie in [1, {base - 1}], got {d}")
     return math.log1p(1.0 / d) / math.log(base)
@@ -64,10 +63,9 @@ def first_digit_prob(d: int, base: int = 10) -> float:
 
 def first_digit_distribution(base: int = 10) -> DigitDistribution:
     """The full first-digit law over {1, ..., base-1}."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    support = tuple(range(1, base))
-    probs = tuple(first_digit_prob(d, base) for d in support)
+    support = digit_support(1, base)
+    ln_base = math.log(base)
+    probs = tuple(math.log1p(1.0 / d) / ln_base for d in support)
     return DigitDistribution(position=1, support=support, probabilities=probs)
 
 
@@ -88,11 +86,6 @@ def joint_prob(digits: Sequence[int]) -> float:
     for d in digits:
         m = 10 * m + d
     return math.log1p(1.0 / m) / _LN10
-
-
-def _check_position(k: int) -> None:
-    if k < 1 or k > MAX_POSITION:
-        raise DomainError(f"position must lie in [1, {MAX_POSITION}], got {k}")
 
 
 def _closed_form(k: int) -> tuple[tuple[float, ...], float]:
@@ -120,12 +113,11 @@ def marginal_distribution(k: int, base: int = 10) -> DigitDistribution:
     Position 1 is the first-digit law of any base; deeper positions are
     decimal only and come from the closed form in lnGamma differences.
     """
-    if k != 1 and base != 10:
-        raise DomainError("deep-position tables are base 10 only")
-    _check_position(k)
     if k == 1:
         return first_digit_distribution(base)
-    return DigitDistribution(k, tuple(range(10)), _closed_form(k)[0])
+    if base != 10:
+        raise DomainError("deep-position tables are base 10 only")
+    return DigitDistribution(k, digit_support(k, 10), _closed_form(k)[0])
 
 
 def moments(k: int) -> tuple[float, float]:
@@ -142,7 +134,7 @@ def tvd_from_uniform(k: int) -> float:
     The uniform reference is 1/9 on {1..9} at position 1 and 1/10 on
     {0..9} deeper in; convergence to uniform is geometric in k.
     """
-    _check_position(k)
+    check_position(k)
     if k == 1:
         probs = first_digit_distribution(10).probabilities
         return 0.5 * math.fsum(abs(p - 1.0 / 9) for p in probs)

@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .significand import _exponent_below, _first_digits, extract_digits_rational
+from .significand import _exponent_below, _first_digits, check_base, extract_digits_rational
 
 PRIME_BOUND_CAP = 10**8
 PRODUCT_DIGITS = 60
@@ -189,8 +189,7 @@ def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator
     a = _as_ratio(alpha)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if base < 2:
-        raise DomainError("base must be >= 2")
+    check_base(base)
     interval = _ProductInterval(a.numerator, a.denominator, base)
 
     def gen() -> Iterator[int]:
@@ -256,8 +255,7 @@ class SequenceSpec:
     def __post_init__(self) -> None:
         if self.kind not in _SERIES:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
-        if self.base < 2:
-            raise DomainError("base must be >= 2")
+        check_base(self.base)
         names = [name for name, _, _ in _SERIES[self.kind].params]
         unknown = [key for key in self.params if key not in names]
         if unknown:

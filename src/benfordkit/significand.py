@@ -6,6 +6,9 @@ them off the stored digit string, at a cost set by the token's length and
 never by its exponent; other bases run on integer scalings of the value,
 and integers in any base on one division by a running power of the base.
 No float decides a digit, so exact powers of the base come out right.
+
+The digit domain is stated here once for the package: ``check_base``,
+``check_position`` and ``digit_support``; other modules call them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,36 @@ from .errors import DomainError, MalformedToken, ZeroValue
 # use (positions beyond ~7 are already near-uniform) while bounding the
 # zero-padding applied to short mantissas.
 MAX_EXTRACT_DIGITS = 18
+
+# Largest base any command takes. Costs that grow with the base (support
+# tables, census and report columns, the simulator's cell table) stay near
+# a second up to it; at base 10**6 they take seconds and hundreds of MB.
+MAX_BASE = 100_000
+
+
+def check_base(base: int) -> None:
+    """The base rule: DomainError unless 2 <= base <= MAX_BASE."""
+    if base < 2:
+        raise DomainError(f"base must be >= 2, got {base}")
+    if base > MAX_BASE:
+        raise DomainError(f"base must be <= {MAX_BASE}, got {base}")
+
+
+def check_position(position: int) -> None:
+    """The position rule: DomainError unless 1 <= position <= MAX_EXTRACT_DIGITS."""
+    if position < 1:
+        raise DomainError(f"position must be >= 1, got {position}")
+    if position > MAX_EXTRACT_DIGITS:
+        raise DomainError(f"position must be <= {MAX_EXTRACT_DIGITS}, got {position}")
+
+
+def digit_support(position: int, base: int) -> tuple[int, ...]:
+    """Possible digit values at a significant-digit position: 1..base-1 at
+    the first, 0..base-1 deeper. The base is checked before the position."""
+    check_base(base)
+    check_position(position)
+    return tuple(range(1, base)) if position == 1 else tuple(range(base))
+
 
 # One grammar, compiled for each separator setting: with separators on it
 # also takes an integer part written in comma-grouped form ("2,300"), its
@@ -197,10 +230,8 @@ def extract_digits_rational(
     num: int, den: int, k: int, base: int = 10
 ) -> SignificantDigits:
     """First k base-``base`` digits of the positive rational num/den, exactly."""
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if k < 1 or k > MAX_EXTRACT_DIGITS:
-        raise DomainError(f"k must be in [1, {MAX_EXTRACT_DIGITS}], got {k}")
+    check_base(base)
+    check_position(k)
     if num == 0:
         raise ZeroValue("value is zero; no significant digit exists")
     if num < 0 or den <= 0:
@@ -237,8 +268,7 @@ def _decimal_significand(digits: str, exponent: int, k: int) -> tuple[str, int]:
             raise ZeroValue("value is zero; no significant digit exists")
         exponent -= len(digits) - len(stripped)
         digits = stripped
-    if k < 1 or k > MAX_EXTRACT_DIGITS:
-        raise DomainError(f"k must be in [1, {MAX_EXTRACT_DIGITS}], got {k}")
+    check_position(k)
     return digits[:k].ljust(k, "0"), exponent - 1
 
 
@@ -301,8 +331,7 @@ def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
             else:
                 if v == 0:
                     raise ZeroValue("value is zero; no significant digit exists")
-                if base < 2:
-                    raise DomainError(f"base must be >= 2, got {base}")
+                check_base(base)
                 p = top = base ** max(0, _exponent_below(v.bit_length() - 1, base))
                 while top <= v:
                     p, top = top, top * base

@@ -41,7 +41,7 @@ from mpmath.libmp import fzero, mpf_add
 
 from .errors import DomainError, EmptyCensus, InvalidNoise
 from .gof import DigitCensus, tvd_benford
-from .significand import extract_digits_rational
+from .significand import check_base, extract_digits_rational
 
 PRNG_NAME = "numpy.random.Philox (4x64, 10 rounds)"
 BOUNDARY_GUARD = 1e-12
@@ -160,8 +160,7 @@ class ProcessSpec:
             raise DomainError(f"kind must be multiplicative or additive, got {self.kind!r}")
         if self.steps < 1 or self.walkers < 1:
             raise DomainError("steps and walkers must be >= 1")
-        if self.base < 2:
-            raise DomainError("base must be >= 2")
+        check_base(self.base)
         if not math.isfinite(self.initial_value):
             raise DomainError("initial_value must be finite")
         if self.kind == "multiplicative":

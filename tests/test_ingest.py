@@ -257,6 +257,23 @@ class TestBlankRecords:
         assert values(read_table("\n\na,b\n12,3\n", policy=policy)) == [3]
 
 
+class TestRecordEndings:
+    # Classic Mac OS exports end records in a bare CR.
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_cr_lf_and_crlf(self, end):
+        text = end.join(["a,b", "12,3", "", "40,5", ""])
+        assert [(t.line, t.raw) for t in read_table(text)] == [
+            (2, "12"), (2, "3"), (4, "40"), (4, "5")]
+        assert census_from_table(text) == census_from_table("a,b\n12,3\n40,5\n")
+
+    def test_unreadable_record_names_its_row(self):
+        # A cell past the csv module's field size limit (131072 characters).
+        text = "a,b\n1,2\n\n3," + "4" * 200_000 + "\n"
+        for read in (census_from_table, lambda t: list(read_table(t))):
+            with pytest.raises(FormatError, match="^row 4: field larger than field limit"):
+                read(text)
+
+
 class TestByteOrderMark:
     # Excel's "CSV UTF-8" starts the file with U+FEFF; one is dropped.
     @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("tsv", "\t")])

@@ -13,6 +13,7 @@ from benfordkit import cli, law, report, sequences
 from benfordkit.datasets import constants_sample_path
 from benfordkit.gof import DigitCensus
 from benfordkit.sequences import prime_values
+from benfordkit.significand import MAX_BASE
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLE4_COUNTS = (63, 37, 18, 15, 15, 13, 7, 7, 8)
@@ -699,13 +700,13 @@ class TestExpectedCommand:
          "--k '1..' is not a position or a range such as 1..7"),
         (["--table", "probs", "--k", "x"],
          "--k 'x' is not a position or a range such as 1..7"),
-        (["--table", "tvd", "--k", "0..2"], "position must lie in [1, 18], got 0"),
+        (["--table", "tvd", "--k", "0..2"], "position must be >= 1, got 0"),
         # Ranges whose position lists would not fit in memory, the last one
         # longer than a list can be: the range is never listed.
         (["--table", "moments", "--k", "1..1000000000000000"],
-         "position must lie in [1, 18], got 19"),
+         "position must be <= 18, got 19"),
         (["--table", "tvd", "--k", "3..1000000000000000"],
-         "position must lie in [1, 18], got 19"),
+         "position must be <= 18, got 19"),
         (["--table", "probs", "--k", "1..100000000000000000000"],
          "probs takes a single position"),
         (["--sample-size", "0"], "--sample-size must be >= 1, got 0"),
@@ -726,7 +727,7 @@ class TestExpectedCommand:
          "deep-position tables are base 10 only"),
         (["--table", "probs", "--k", "2", "--base", "1"],
          "deep-position tables are base 10 only"),
-        (["--table", "probs", "--k", "0"], "position must lie in [1, 18], got 0"),
+        (["--table", "probs", "--k", "0"], "position must be >= 1, got 0"),
         (["--table", "probs", "--k", "1", "--base", "1"], "base must be >= 2, got 1"),
     ])
     def test_bad_arguments_print_nothing(self, argv, message, capsys):
@@ -750,3 +751,26 @@ class TestExpectedCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: --table {table} takes no {flag}\n"
+
+
+class TestBaseRange:
+    # Every command takes bases 2..MAX_BASE and refuses the next one before
+    # it prints anything.
+    @pytest.mark.parametrize("argv", [
+        ["expected"],
+        ["generate", "primes", "--below", "100", "--census"],
+        ["simulate", "--walkers", "10", "--steps", "2"],
+    ])
+    def test_above_max_base(self, argv, capsys):
+        assert cli.main([*argv, "--base", str(MAX_BASE + 1)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: base must be <= {MAX_BASE}, got {MAX_BASE + 1}\n"
+
+    def test_analyze_above_max_base(self, tmp_path, capsys):
+        data = tmp_path / "vals.txt"
+        data.write_text("12 0 7e3\n")
+        assert cli.main(["analyze", str(data), "--base", str(MAX_BASE + 1)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {data}: base must be <= {MAX_BASE}, got {MAX_BASE + 1}\n"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
@@ -8,10 +9,18 @@ import numpy as np
 import pytest
 
 from benfordkit.errors import DomainError, MalformedToken, ZeroValue
-from benfordkit.gof import build_census
+from benfordkit.gof import DigitCensus, build_census
 from benfordkit.ingest import census_from_text
-from benfordkit.sequences import factorial_values, fibonacci_values
+from benfordkit.law import first_digit_distribution, moments
+from benfordkit.sequences import (
+    SequenceSpec,
+    alpha_power_digits,
+    factorial_values,
+    fibonacci_values,
+)
+from benfordkit.simulate import NoiseSpec, ProcessSpec
 from benfordkit.significand import (
+    MAX_BASE,
     MAX_EXTRACT_DIGITS,
     ExactDecimal,
     SignificantDigits,
@@ -406,3 +415,48 @@ class TestHelpers:
     def test_str_rendering(self):
         assert str(parse_token("0.150")) == "0.150"
         assert str(parse_token("129")) == "129"
+
+
+class TestDomainRules:
+    """Every entry point that takes a base or a position applies the one
+    base and position rule, with its one wording."""
+
+    BASE_ENTRY_POINTS = {
+        "build_census": lambda base: build_census([5], 1, base),
+        "DigitCensus.empty": lambda base: DigitCensus.empty(1, base),
+        "first_digit": lambda base: first_digit(5, base),
+        "extract_digits_rational": lambda base: extract_digits_rational(5, 1, 1, base),
+        "alpha_power_digits": lambda base: list(alpha_power_digits("3/2", 3, base)),
+        "SequenceSpec": lambda base: SequenceSpec("primes", {"below": 10}, base),
+        "ProcessSpec": lambda base: ProcessSpec(
+            "multiplicative", NoiseSpec("constant", (2.0,)), 1, 1, base=base),
+        "first_digit_distribution": first_digit_distribution,
+    }
+    POSITION_ENTRY_POINTS = {
+        "digit_at": lambda k: digit_at(parse_token("5"), k),
+        "extract_digits": lambda k: extract_digits(parse_token("5"), k, 16),
+        "moments": moments,
+    }
+
+    @pytest.mark.parametrize("entry", BASE_ENTRY_POINTS)
+    @pytest.mark.parametrize("base, message", [
+        (1, "base must be >= 2, got 1"),
+        (MAX_BASE + 1, f"base must be <= {MAX_BASE}, got {MAX_BASE + 1}"),
+    ])
+    def test_base_outside_range(self, entry, base, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            self.BASE_ENTRY_POINTS[entry](base)
+
+    @pytest.mark.parametrize("entry", BASE_ENTRY_POINTS)
+    def test_largest_base_accepted(self, entry):
+        self.BASE_ENTRY_POINTS[entry](MAX_BASE)
+
+    @pytest.mark.parametrize("entry", POSITION_ENTRY_POINTS)
+    @pytest.mark.parametrize("position, message", [
+        (0, "position must be >= 1, got 0"),
+        (MAX_EXTRACT_DIGITS + 1,
+         f"position must be <= {MAX_EXTRACT_DIGITS}, got {MAX_EXTRACT_DIGITS + 1}"),
+    ])
+    def test_position_outside_range(self, entry, position, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            self.POSITION_ENTRY_POINTS[entry](position)
