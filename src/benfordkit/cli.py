@@ -2,7 +2,7 @@
 processes, and print the expected-law reference tables.
 
 Exit status contract: 0 = accept (or plain success), 2 = reject at the
-chosen significance level, 1 = error.
+chosen significance level, 1 = error. A usage error is an error too.
 """
 
 from __future__ import annotations
@@ -15,22 +15,31 @@ from . import law, report, sequences
 from .errors import BenfordError, DomainError, EmptyCensus
 from .gof import DigitCensus
 from .ingest import ScanPolicy, census_from_table, census_from_text
-from .simulate import (
-    NoiseSpec,
-    ProcessSpec,
-    convergence_curve,
-    curve_as_csv,
-    curve_as_json,
-    recorded_steps,
-)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
 
 
+def __getattr__(name: str):
+    # perfbench's probe wraps these two by name on this module. This hook goes
+    # once the benchmark wraps functions where they are defined (ROADMAP item 1).
+    if name in ("convergence_curve", "curve_as_csv"):
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 with one `error:` line, as every other error does;
+    exit 2 means a rejected dataset. Subparsers are made of this class too."""
+
+    def error(self, message: str):
+        self.exit(EXIT_ERROR, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="benford",
         description="Significant-digit law analysis: screening, generation, simulation.",
     )
@@ -191,6 +200,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import (
+        NoiseSpec,
+        ProcessSpec,
+        convergence_curve,
+        curve_as_csv,
+        curve_as_json,
+        recorded_steps,
+    )
+
     spec = ProcessSpec(
         kind="multiplicative" if args.kind == "mult" else "additive",
         noise=NoiseSpec.parse(args.noise),

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_support
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Deepest position with a marginal: the deepest that digit extraction
 # supports.
@@ -50,6 +50,8 @@ class DigitDistribution:
             raise DomainError(f"digit {digit} not in support {self.support}") from None
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.probabilities)
 
 
@@ -97,6 +99,8 @@ def _closed_form(k: int) -> tuple[tuple[float, ...], float]:
     The terms nearly cancel and P_k(d) - 1/10 shrinks like 10**-k, so both
     results are rounded to doubles only at the end.
     """
+    import mpmath
+
     lo, hi = 10 ** (k - 2), 10 ** (k - 1)
     with mpmath.workdps(20 + 2 * k):
         xs = [mpmath.mpf(n) / 10 for n in range(11)]
@@ -153,6 +157,8 @@ def digit_correlation(i: int, j: int) -> float:
         raise DomainError(f"need 1 <= i < j, got ({i}, {j})")
     if j > MAX_CORRELATION_POSITION:
         raise DomainError(f"position j must lie in [2, {MAX_CORRELATION_POSITION}], got {j}")
+    import numpy as np
+
     (mean_i, var_i), (mean_j, var_j) = moments(i), moments(j)
     m = np.arange(10 ** (j - 2), 10 ** (j - 1), dtype=np.int64)
     # Pairing digit b with 9 - b makes each difference of two logs one log1p

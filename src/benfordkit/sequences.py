@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Union
 
-import numpy as np
-
 from .errors import DomainError
 from .significand import _exponent_below, _first_digits, check_base, extract_digits_rational
 
@@ -59,6 +57,8 @@ def prime_values(bound: int) -> Iterator[int]:
         raise DomainError("bound must be >= 2")
     if bound > PRIME_BOUND_CAP:
         raise DomainError(f"bound capped at {PRIME_BOUND_CAP}")
+    import numpy as np
+
     flags = np.ones(bound, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(bound - 1) + 1):

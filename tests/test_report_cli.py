@@ -774,3 +774,41 @@ class TestBaseRange:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: {data}: base must be <= {MAX_BASE}, got {MAX_BASE + 1}\n"
+
+
+class TestUsageErrors:
+    # A usage error is an error: exit 1 and one `error:` line, never the
+    # usage block and exit 2 that would read as a rejected dataset.
+    @pytest.mark.parametrize("argv, names", [
+        ([], "command"),
+        (["nope"], "nope"),
+        (["analyze"], "path"),
+        (["analyze", "f.txt", "--nope"], "--nope"),
+        (["analyze", "f.txt", "--position", "x"], "--position"),
+        (["analyze", "f.txt", "--level", "3"], "--level"),
+        (["generate", "fibonacci", "--nope"], "--nope"),
+        (["generate", "fibonacci", "--terms", "x"], "--terms"),
+        (["generate", "nope"], "nope"),
+        (["simulate", "--nope"], "--nope"),
+        (["simulate", "--steps", "x"], "--steps"),
+        (["simulate", "--kind", "mul"], "--kind"),
+        (["expected", "--nope"], "--nope"),
+        (["expected", "--max-j", "x"], "--max-j"),
+        (["expected", "--table", "nope"], "--table"),
+    ])
+    def test_exits_1_with_one_error_line(self, argv, names, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert names in out.err and "usage:" not in out.err
+
+    @pytest.mark.parametrize("argv", [["--help"], *([cmd, "--help"] for cmd in cli._COMMANDS)])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: benford") and out.err == ""
