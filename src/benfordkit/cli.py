@@ -8,6 +8,7 @@ chosen significance level, 1 = error. A usage error is an error too.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -156,11 +157,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     doc = report.build_report(
         census,
         input_descriptor=str(path),
-        policy_description={
-            "thousands_separators": policy.thousands_separators,
-            "skip_patterns": list(policy.skip_patterns),
-            "columns": list(policy.columns) if policy.columns else None,
-        },
+        policy_description=dataclasses.asdict(policy),
     )
     sys.stdout.write(report.render(doc, args.format))
     if doc.gof is None:

@@ -8,19 +8,15 @@ family, with its rules, draw and increments, is one row of `_NOISE`.
 
 One classifier takes every census. It splits [0, 1] into 2**16 equal
 cells and reads each walker's leading digit from a per-base table at the
-fractional part of log_base(N). A cell that comes within twice the guard
-band of a digit boundary is "near" and has no digit; only walkers in near
-cells take the pow-and-gap test, which computes the digit with a power and
-flags walkers whose fractional part falls within a small guard band of a
-digit boundary. Flagged walkers are re-derived exactly, so boundary cases
-like a constant noise of exactly the base classify correctly instead of
-flapping on float rounding. A
-multiplicative walker carries an exact sum of its ln(xi) from the step
-it is first flagged on (one replay of the stream catches it up), rounded
-once to 50 digits when read, so the cost stays linear in steps; an
-additive walker is read from its stored double. Additive states that are
-not positive and finite, and multiplicative states at or past 2**52 in
-log_base, have no exact leading digit and count as exclusions.
+fractional part of log_base(N). Only walkers in "near" cells, within
+twice the guard band of a digit boundary, take the gap test; those
+within the guard band are re-derived exactly, so boundary cases like a
+constant noise of exactly the base classify correctly instead of
+flapping on float rounding. A multiplicative walker carries an exact
+integer sum of its ln(xi) from the step it is first flagged on (one
+replay of the stream catches it up), so the cost stays linear in steps;
+an additive walker is read from its stored double. States with no exact
+leading digit count as exclusions (`_census` says which).
 
 Runs are deterministic per seed. The generator is counter-based
 (numpy's Philox, 4x64 with 10 rounds) and its name and the numpy version
@@ -33,22 +29,36 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-import mpmath
 import numpy as np
-from mpmath.libmp import fzero, mpf_add
 
-from .errors import DomainError, EmptyCensus, InvalidNoise
+from .errors import DomainError, InvalidNoise
 from .gof import DigitCensus, tvd_benford
 from .significand import check_base, extract_digits_rational
 
 PRNG_NAME = "numpy.random.Philox (4x64, 10 rounds)"
 BOUNDARY_GUARD = 1e-12
-_EXACT_DPS = 50
-_SNAP = mpmath.mpf("1e-38")
 _LOG_STATE_CAP = 2.0**52
 _CELLS = 2**16
+_SCALE = 256  # exact log-sums are integers in units of 2**-_SCALE
+_SNAP = (1 << _SCALE) // 10**38  # an exact digit snaps onto a boundary within 1e-38
+_LN_CONTEXT = Context(prec=100)  # read by _ln alone
+
+
+def _ln(x: float) -> int:
+    """ln(x) of a positive double in units of 2**-_SCALE, to nearest: the
+    simulator's one high-precision log. Its two roundings to 100 digits
+    move the result by less than 1e-19 of a unit."""
+    ctx = _LN_CONTEXT
+    return int(ctx.to_integral_value(ctx.multiply(ctx.ln(Decimal(x)), 1 << _SCALE)))
+
+
+def _lognormal_term(v: float, mu: float, sigma: float) -> int:
+    """The exact rational mu + sigma * v in units of 2**-_SCALE, to nearest."""
+    (a, b), (c, d), (e, f) = (x.as_integer_ratio() for x in (mu, sigma, v))
+    return (((a * d * f + c * e * b) << (_SCALE + 1)) // (b * d * f) + 1) >> 1
 
 
 class _Noise(NamedTuple):
@@ -60,7 +70,7 @@ class _Noise(NamedTuple):
     draw: Callable | None  # (rng, size) -> one step's draws; None: one shared xi
     xi: Callable  # (raw) -> xi, the additive increment
     ln_xi: Callable | None = None  # (raw) -> ln(xi), the multiplicative increment
-    ln_xi_mp: Callable | None = None  # (one draw) -> ln(xi) at _EXACT_DPS
+    ln_xi_fixed: Callable | None = None  # (one draw) -> ln(xi) in units of 2**-_SCALE
     rule: Callable[..., str | None] = lambda *params: None  # () -> error or None
 
 
@@ -72,7 +82,7 @@ _NOISE = {
         draw=lambda rng, size, mu, sigma: rng.standard_normal(size),
         xi=lambda raw, mu, sigma: np.exp(mu + sigma * raw),
         ln_xi=lambda raw, mu, sigma: mu + sigma * raw,
-        ln_xi_mp=lambda v, mu, sigma: mpmath.mpf(mu) + mpmath.mpf(sigma) * mpmath.mpf(v),
+        ln_xi_fixed=_lognormal_term,
     ),
     "normal": _Noise(
         ("mu", "sigma"),
@@ -88,7 +98,7 @@ _NOISE = {
         draw=lambda rng, size, lo, hi: rng.uniform(lo, hi, size),
         xi=lambda raw, lo, hi: raw,
         ln_xi=lambda raw, lo, hi: np.log(raw),
-        ln_xi_mp=lambda v, lo, hi: mpmath.log(mpmath.mpf(v)),
+        ln_xi_fixed=lambda v, lo, hi: _ln(v),
     ),
     "constant": _Noise(
         ("c",),
@@ -199,27 +209,13 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _digit_from_log_mp(total, log_base, base: int) -> int:
-    """Leading digit of e**total from its extended-precision ln-value,
-    snapping values within the snap tolerance of a boundary onto it."""
-    x = total / log_base
-    v = mpmath.power(base, x - mpmath.floor(x))
-    nearest = int(mpmath.nint(v))
-    if 1 <= nearest <= base and abs(v - nearest) < _SNAP:
-        return 1 if nearest == base else nearest
-    d = int(mpmath.floor(v))
-    return min(max(d, 1), base - 1)
-
-
 class _LogSums:
     """Exact running sums of ln(xi) for the flagged walkers of one
-    multiplicative run.
+    multiplicative run, as integers in units of 2**-_SCALE.
 
-    A sum is exact (libmp's add at precision 0 never rounds), so a
-    walker's total, ln(x0) plus its sum rounded once at _EXACT_DPS, is
-    what mpmath.fsum over its whole noise stream gives. `advance` adds
-    each step's term to every walker tracked so far; walkers flagged for
-    the first time at a step are caught up together by one replay of the
+    Each term is rounded once and the sums are exact. `advance` adds each
+    step's term to every walker tracked so far; walkers flagged for the
+    first time at a step are caught up together by one replay of the
     stream. A draw-free family needs no sums: its one xi is shared, and
     every total is ln(x0) + step * ln(xi).
     """
@@ -227,19 +223,16 @@ class _LogSums:
     def __init__(self, spec: ProcessSpec) -> None:
         self.spec = spec
         self.family = _NOISE[spec.noise.family]
-        self.sums: dict[int, tuple] = {}
-        # Taken once per run; only a multiplicative run reads them.
-        with mpmath.workdps(_EXACT_DPS):
-            self.log_x0 = mpmath.log(spec.initial_value)
-            self.log_base = mpmath.log(spec.base)
-            self.shared_log = None if self.family.draw else mpmath.log(
+        self.sums: dict[int, int] = {}
+        self.bounds: dict[int, int] = {}  # d -> ln d - 1e-38 / d, on demand
+        if spec.kind == "multiplicative":  # an additive run's x0 may be <= 0
+            self.log_x0, self.log_base = _ln(spec.initial_value), _ln(spec.base)
+            self.shared_log = None if self.family.draw else _ln(
                 self.family.xi(None, *spec.noise.params))
 
-    def _add(self, sums: Iterable[tuple], raw: np.ndarray) -> list[tuple]:
-        term, params = self.family.ln_xi_mp, self.spec.noise.params
-        with mpmath.workdps(_EXACT_DPS):
-            return [mpf_add(s, term(v, *params)._mpf_, 0)
-                    for s, v in zip(sums, raw.tolist())]
+    def _add(self, sums: Iterable[int], raw: np.ndarray) -> list[int]:
+        term, params = self.family.ln_xi_fixed, self.spec.noise.params
+        return [s + term(v, *params) for s, v in zip(sums, raw.tolist())]
 
     def advance(self, raw) -> None:
         """Add one step's ln(xi) to every tracked walker's sum."""
@@ -249,26 +242,41 @@ class _LogSums:
 
     def _catch_up(self, walkers: list[int], step: int) -> None:
         rng = _generator(self.spec.seed)
-        sums = [fzero] * len(walkers)
+        sums = [0] * len(walkers)
         for _ in range(step):
             raw = self.family.draw(rng, self.spec.walkers, *self.spec.noise.params)
             sums = self._add(sums, raw[walkers])
         self.sums.update(zip(walkers, sums))
 
+    def _bound(self, d: int) -> int:
+        if d not in self.bounds:
+            self.bounds[d] = _ln(d) - _SNAP // d
+        return self.bounds[d]
+
+    def _digit(self, total: int) -> int:
+        """Leading digit of e**total: d when bound(d) <= r < bound(d + 1) for
+        r = total mod ln(base) and bound(d) = ln d - 1e-38 / d, so a value
+        within 1e-38 of d reads d; d = base reads 1. The float digit of r
+        starts the search."""
+        base = self.spec.base
+        r = total % self.log_base
+        d = min(max(int(math.exp(r / (1 << _SCALE))), 1), base - 1)
+        while r < self._bound(d):
+            d -= 1
+        while d < base and r >= self._bound(d + 1):
+            d += 1
+        return 1 if d == base else d
+
     def digits(self, walkers: np.ndarray, step: int):
         """Exact leading digits of `walkers` at `step`: one digit shared by
         all of them for a draw-free family, else one per walker."""
-        base = self.spec.base
-        log_x0, log_base = self.log_x0, self.log_base
-        with mpmath.workdps(_EXACT_DPS):
-            if self.shared_log is not None:
-                return _digit_from_log_mp(log_x0 + step * self.shared_log, log_base, base)
-            walkers = walkers.tolist()
-            new = [i for i in walkers if i not in self.sums]
-            if new:
-                self._catch_up(new, step)
-            return [_digit_from_log_mp(log_x0 + mpmath.mpf(self.sums[i]), log_base, base)
-                    for i in walkers]
+        if self.shared_log is not None:
+            return self._digit(self.log_x0 + step * self.shared_log)
+        walkers = walkers.tolist()
+        new = [i for i in walkers if i not in self.sums]
+        if new:
+            self._catch_up(new, step)
+        return [self._digit(self.log_x0 + self.sums[i]) for i in walkers]
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,18 +309,16 @@ def _census(
     Multiplicative states are ln-values; additive states are the values.
     Each walker's digit is one read of the cell table at frac, the
     fractional part of log_base(state). Only walkers in near cells take
-    the pow-and-gap test: the digit is floor(base**frac), and a walker
-    whose frac lies within BOUNDARY_GUARD of a boundary of that digit is
-    resolved exactly: from its exact log-sum in `sums` for a
-    multiplicative run, from its stored double for an additive one. A cell
-    with a digit keeps 2 * BOUNDARY_GUARD from every boundary, so the test
-    would give its walkers that digit and flag none of them: every walker
-    within the guard band lies in a near cell. Walkers without a
-    resolvable digit are excluded: additive states that are not positive
-    and finite, and multiplicative states whose log_base is not finite or
-    is at least 2**52 in magnitude. Past that cap a double keeps no
-    fractional bits of log_base, and the 50-digit total keeps too few for
-    the boundary snap, so no digit would be exact.
+    the gap test: their digit d has log_base(d) <= frac < log_base(d + 1),
+    and a walker within BOUNDARY_GUARD of either boundary is resolved
+    exactly, from its exact log-sum in `sums` for a multiplicative run and
+    from its stored double for an additive one. A cell with a digit keeps
+    2 * BOUNDARY_GUARD from every boundary, so every walker within the
+    guard band lies in a near cell. Excluded are additive states that are
+    not positive and finite, and multiplicative states whose log_base is
+    not finite or is at least 2**52 in magnitude: past that cap a double
+    keeps no fractional bits of log_base, so neither the cells nor the gap
+    test can place the walker, and it is excluded rather than resolved.
     """
     base = spec.base
     bounds, table = _cell_table(base)
@@ -339,10 +345,7 @@ def _census(
     near = np.flatnonzero(digits == 0)
     subset = slice(None) if len(near) == len(digits) else near
     frac = frac[subset]
-    near_digits = np.empty(len(near), dtype=np.intp)
-    with np.errstate(invalid="ignore"):
-        # base**frac is at least 1, so the cast floors it.
-        np.power(base, frac, out=near_digits, casting="unsafe")
+    near_digits = bounds.searchsorted(frac, side="right")
     np.clip(near_digits, 1, base - 1, out=near_digits)
 
     # Distance from frac to the log-boundaries enclosing its digit; a nan
@@ -449,13 +452,8 @@ def convergence_curve(spec: ProcessSpec) -> list[tuple[int, float]]:
     Defined for both kinds so additive contrast runs chart on the same
     axes; empty censuses (every walker excluded) are skipped.
     """
-    curve = []
-    for t, census in run_ensemble(spec):
-        try:
-            curve.append((t, tvd_benford(census)))
-        except EmptyCensus:
-            continue
-    return curve
+    return [(t, tvd_benford(census)) for t, census in run_ensemble(spec)
+            if census.sample_size]
 
 
 def curve_as_csv(spec: ProcessSpec, curve: Sequence[tuple[int, float]]) -> str:

@@ -122,7 +122,9 @@ def test_import_loads_neither(module):
       for name in ("prose.txt", "table.csv")
       for fmt in ("text", "json", "csv") for base in ("10", "16")],
     # The commands that need the libraries load them when they run.
-    (["simulate", "--walkers", "20", "--steps", "3"], " numpy mpmath"),
+    (["simulate", "--walkers", "20", "--steps", "3"], " numpy"),
+    # Every walker of this run is flagged and resolved exactly.
+    (["simulate", "--walkers", "20", "--steps", "3", "--noise", "constant:10"], " numpy"),
     (["generate", "primes", "--below", "100", "--census"], " numpy"),
     (["expected", "--table", "corr"], " numpy mpmath"),
     (["analyze", "prose.txt", "--position", "2"], " mpmath"),

@@ -8,6 +8,7 @@ import replay_oracle
 from benfordkit import cli, simulate
 from benfordkit.errors import DomainError, InvalidNoise
 from benfordkit.gof import tvd_benford
+from benfordkit.significand import MAX_BASE
 from benfordkit.simulate import (
     NoiseSpec,
     ProcessSpec,
@@ -306,15 +307,15 @@ class TestBoundaryCost:
 
     @staticmethod
     def _count_terms(monkeypatch, family):
-        """Count the 50-digit ln(xi) terms of `family`'s table row."""
+        """Count the exact integer ln(xi) terms of `family`'s table row."""
         calls = []
         row = simulate._NOISE[family]
 
         def counted(*args):
             calls.append(args)
-            return row.ln_xi_mp(*args)
+            return row.ln_xi_fixed(*args)
 
-        monkeypatch.setitem(simulate._NOISE, family, row._replace(ln_xi_mp=counted))
+        monkeypatch.setitem(simulate._NOISE, family, row._replace(ln_xi_fixed=counted))
         return calls
 
     @pytest.mark.parametrize("noise, steps", [
@@ -341,6 +342,17 @@ class TestBoundaryCost:
         # Each tracked walker gets each step's term once: linear in steps.
         assert len(terms) == len(first) * spec.steps
 
+    @pytest.mark.parametrize("noise", ["constant:100000", "lognormal:11.512925464970229,1e-14"])
+    def test_max_base_takes_a_handful_of_logs(self, noise, monkeypatch):
+        # Every walker is flagged at every step, yet the exact digits take
+        # ln(x0), ln(base) and the few boundaries next to the walkers: no
+        # log for each of the base's digits.
+        spec = mult_spec(noise=NoiseSpec.parse(noise), steps=12, walkers=20, base=MAX_BASE)
+        expect = replay_oracle.run_ensemble(spec)
+        logs = self._count(monkeypatch, "_ln")
+        assert run_ensemble(spec) == expect
+        assert 0 < len(logs) <= 8
+
     def test_constant_noise_replays_nothing(self, monkeypatch):
         generators = self._count(monkeypatch, "_generator")
         terms = self._count_terms(monkeypatch, "constant")
@@ -348,6 +360,26 @@ class TestBoundaryCost:
         assert all(c.counts[0] == 30 for _, c in run_ensemble(spec))
         assert len(generators) == 1
         assert terms == []
+
+
+class TestAdditiveFromNonPositiveStart:
+    """An additive run may start at 0 or below, where ln(x0) does not
+    exist; the exact path's logs belong to multiplicative runs alone."""
+
+    @pytest.mark.parametrize("initial", [0.0, -1.0])
+    def test_run_ensemble(self, initial):
+        spec = ProcessSpec("additive", NoiseSpec("normal", (0.0, 1.0)), 120, 40, initial,
+                           seed=5)
+        assert run_ensemble(spec) == replay_oracle.run_ensemble(spec)
+
+    @pytest.mark.parametrize("initial", ["0", "-1"])
+    def test_cli(self, initial, capsys):
+        assert cli.main(["simulate", "--kind", "add", "--noise", "normal:0,1", "--initial",
+                         initial, "--steps", "6", "--walkers", "40", "--seed", "5"]) == 0
+        spec = ProcessSpec("additive", NoiseSpec("normal", (0.0, 1.0)), 6, 40,
+                           float(initial), seed=5)
+        rows = [(t, tvd_benford(c)) for t, c in replay_oracle.run_ensemble(spec)]
+        assert capsys.readouterr().out == curve_as_csv(spec, rows)
 
 
 class TestHugeStates:

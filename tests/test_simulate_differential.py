@@ -1,10 +1,11 @@
 """Differential tests of the simulator against the references in
 `replay_oracle`: the exact running log-sums against replay, in bases 2, 10
 and 16, for noise that puts walkers on or near digit boundaries; the
-noise-family table's walks and 50-digit terms against the reference's
-per-family functions; and the cell-table census against the pow-and-gap
-classifier run on every walker, on states at and around digit boundaries,
-guard bands and cell edges in bases 2-64, 300 and 100,000."""
+noise-family table's walks and exact integer terms against the
+reference's per-family functions; the integer digit rule against the
+reference's snap in value space; and the cell-table census against the
+pow-and-gap classifier run on every walker, on states at and around digit
+boundaries, guard bands and cell edges in bases 2-64, 300 and 100,000."""
 
 import math
 from unittest import mock
@@ -134,12 +135,43 @@ class TestNoiseTableMatchesReference:
         "uniform:0.5,2", "uniform:9.99999999997,10.00000000003",
     ])
     def test_exact_terms(self, noise):
+        # The integer term is the reference's ln(xi), taken at 90 digits, in
+        # units of 2**-256 and rounded once: the two differ by at most 1.
         spec = NoiseSpec.parse(noise)
-        term = simulate._NOISE[spec.family].ln_xi_mp
+        term = simulate._NOISE[spec.family].ln_xi_fixed
         raw = replay_oracle._raw_step(replay_oracle._generator(3), spec, 200)
-        with mpmath.workdps(50):
+        with mpmath.workdps(90):
             for v in raw.tolist():
-                assert term(v, *spec.params) == replay_oracle._log_increment_mp(v, spec)
+                want = replay_oracle._log_increment_mp(v, spec) * mpmath.mpf(2) ** 256
+                assert abs(term(v, *spec.params) - want) <= 1
+
+
+class TestExactDigitMatchesSnapRule:
+    """The exact path's integer digit rule against the reference's snap in
+    value space, on ln-totals n * ln(base) + ln(d) plus an offset: at a
+    boundary, within the snap tolerance of 1e-38 in value, just past it,
+    and at the guard band."""
+
+    OFFSETS = ["0", "1e-40", "-1e-40", "1e-37", "-1e-37", "1e-30", "-1e-30",
+               repr(BOUNDARY_GUARD), repr(-BOUNDARY_GUARD)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.integers(2, 64) | st.just(100_000), pick=st.integers(0, 10**6),
+           n=st.integers(-60, 60), offset=st.sampled_from(OFFSETS),
+           units=st.integers(-4, 4))
+    # The top digit of the largest base, just below a power of it.
+    @example(base=100_000, pick=99_999, n=3, offset="-1e-40", units=0)
+    def test_totals_at_and_near_boundaries(self, base, pick, n, offset, units):
+        d = 1 + pick % base  # a digit 1..base; `units` are units of 2**-256
+        with mpmath.workdps(120):
+            total = n * mpmath.log(base) + mpmath.log(d) + mpmath.mpf(offset)
+            fixed = int(mpmath.nint(total * mpmath.mpf(2) ** 256)) + units
+        with mpmath.workdps(replay_oracle.EXACT_DPS):
+            x = mpmath.mpf(fixed) / mpmath.mpf(2) ** 256 / mpmath.log(base)
+            want = replay_oracle._digit_from_fraction_mp(x - mpmath.floor(x), base)
+        spec = ProcessSpec("multiplicative", NoiseSpec("constant", (2.0,)), 1, 1, base=base)
+        assert simulate._LogSums(spec)._digit(fixed) == want
+
 
 def _nudge(value: float, ulps: int) -> float:
     for _ in range(abs(ulps)):
