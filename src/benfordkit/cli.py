@@ -65,20 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="parameters: " + "; ".join(
             kind.replace("_", "-") + " " + " ".join(
                 f"--{name}" if default is None else f"[--{name} {default}]"
-                for name, _, default in series.params)
+                for name, _, default, _ in series.params)
             for kind, series in sequences._SERIES.items()),
     )
     p.add_argument("kind", nargs="?",
                    choices=[kind.replace("_", "-") for kind in sequences._SERIES])
     p.add_argument("--config", help="read the sequence spec from a config file")
-    p.add_argument("--a1", type=int, help="first seed")
-    p.add_argument("--a2", type=int, help="second seed")
-    p.add_argument("--terms", type=int, help="number of terms")
-    p.add_argument("--below", type=int, help="exclusive upper bound")
-    p.add_argument("--alpha", help="ratio > 1, e.g. 1007/1000 or 1.007")
-    p.add_argument("--n", type=int, help="term count")
-    p.add_argument("--k", type=int, help="exponent")
-    p.add_argument("--rows", type=int, help="number of rows")
+    # One flag per series parameter, in table order from its first row; a
+    # non-integer one (--alpha) stays a string for the spec to convert.
+    flags = {}
+    for series in sequences._SERIES.values():
+        for name, convert, _, help_text in series.params:
+            flags.setdefault(name, (convert, help_text))
+    for name, (convert, help_text) in flags.items():
+        p.add_argument(f"--{name}", type=int if convert is int else None, help=help_text)
     p.add_argument("--base", type=int, help="output base (default 10)")
     p.add_argument("--census", action="store_true",
                    help="emit the first-digit census instead of the stream")
@@ -148,12 +148,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except BenfordError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     if census.sample_size == 0:
-        print(
-            f"error: empty census: no usable numeric values in {path}"
-            f" ({census.exclusions} excluded)",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+        raise EmptyCensus(f"empty census: no usable numeric values in {path}"
+                          f" ({census.exclusions} excluded)")
     doc = report.build_report(
         census,
         input_descriptor=str(path),
@@ -168,7 +164,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def _sequence_spec(args: argparse.Namespace) -> sequences.SequenceSpec:
     # Every kind's flags go to the spec, which rejects those of other kinds.
     params = {name: getattr(args, name)
-              for series in sequences._SERIES.values() for name, _, _ in series.params
+              for series in sequences._SERIES.values() for name, *_ in series.params
               if getattr(args, name) is not None}
     if args.config:
         if args.kind or params or args.base is not None:

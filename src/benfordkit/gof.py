@@ -54,7 +54,7 @@ class DigitCensus:
                 f"counts must have {len(support)} entries for position "
                 f"{self.position} base {self.base}, got {len(self.counts)}"
             )
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise ValueError("counts must be non-negative")
         if self.exclusions < 0:
             raise ValueError("exclusions must be non-negative")

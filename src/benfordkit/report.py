@@ -1,8 +1,12 @@
 """Report documents: census + statistics + metadata, serialized to
-JSON, CSV, or plain text with identical numeric content.
+JSON, CSV, or plain text.
 
-The CSV row is `to_json_dict` flattened; `gof.testable` decides which
-documents carry verdicts, `law.marginal_distribution` the expected law.
+A document keeps only the census, its statistics and the metadata; each
+digit's observed and expected frequencies are derived from the census by
+one function. JSON rounds them to 12 significant digits, the CSV row is
+the JSON document flattened, and text prints the same frequencies
+unrounded to 4 places. `gof.testable` decides which documents carry
+verdicts, `law.marginal_distribution` the expected law.
 """
 
 from __future__ import annotations
@@ -34,13 +38,6 @@ def round12(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class HistogramRow:
-    digit: int
-    observed_freq: float
-    expected_freq: Optional[float]
-
-
-@dataclass(frozen=True)
 class ReportDocument:
     """A complete analysis result; every statistic is recomputable from the
     embedded census."""
@@ -48,7 +45,6 @@ class ReportDocument:
     meta: dict
     census: DigitCensus
     gof: Optional[GofReport]
-    histogram: tuple[HistogramRow, ...]
 
 
 def build_report(
@@ -59,26 +55,9 @@ def build_report(
     """Assemble the document for a census.
 
     Censuses the tests apply to (`gof.testable`) get the full test battery;
-    others are report-only (census and histogram, no verdicts), with the
-    expected law where `law.marginal_distribution` has one.
+    others are report-only (census and frequencies, no verdicts).
     """
     gof = full_report(census) if testable(census) and census.sample_size > 0 else None
-    try:
-        expected = law.marginal_distribution(census.position, census.base).probabilities
-    except DomainError:
-        expected = None
-    size = census.sample_size
-    rows = []
-    for i, digit in enumerate(census.support):
-        observed = census.counts[i] / size if size else 0.0
-        rows.append(
-            HistogramRow(
-                digit=digit,
-                observed_freq=observed,
-                expected_freq=expected[i] if expected is not None else None,
-            )
-        )
-
     meta = {
         "input": input_descriptor,
         "policy": policy_description or {},
@@ -89,7 +68,18 @@ def build_report(
         "base": census.base,
         "digits": list(census.support),
     }
-    return ReportDocument(meta=meta, census=census, gof=gof, histogram=tuple(rows))
+    return ReportDocument(meta=meta, census=census, gof=gof)
+
+
+def _frequencies(census: DigitCensus) -> list[tuple[float, Optional[float]]]:
+    """Each digit's observed frequency (0.0 in an empty census) and expected
+    frequency, or None where `law.marginal_distribution` has no law."""
+    size = census.sample_size
+    try:
+        expected = law.marginal_distribution(census.position, census.base).probabilities
+    except DomainError:
+        expected = (None,) * len(census.counts)
+    return [(count / size if size else 0.0, p) for count, p in zip(census.counts, expected)]
 
 
 def _timestamp() -> str:
@@ -122,15 +112,13 @@ def to_json_dict(doc: ReportDocument) -> dict:
     """The documented JSON schema; report-only documents carry nulls in the
     test fields."""
     gof = doc.gof
+    frequencies = _frequencies(doc.census)
     return {
         "meta": doc.meta,
         "counts": list(doc.census.counts),
         "exclusions": doc.census.exclusions,
-        "observed": [round12(r.observed_freq) for r in doc.histogram],
-        "expected": [
-            round12(r.expected_freq) if r.expected_freq is not None else None
-            for r in doc.histogram
-        ],
+        "observed": [round12(observed) for observed, _ in frequencies],
+        "expected": [None if p is None else round12(p) for _, p in frequencies],
         "chi_square": round12(gof.chi_square) if gof else None,
         "df": DEGREES_OF_FREEDOM,
         "critical": {"p05": CHI2_CRITICAL_5PCT, "p01": CHI2_CRITICAL_1PCT},
@@ -142,10 +130,6 @@ def to_json_dict(doc: ReportDocument) -> dict:
             "p01": gof.verdict_1pct if gof else None,
         },
     }
-
-
-def to_json(doc: ReportDocument) -> str:
-    return json.dumps(to_json_dict(doc), indent=2)
 
 
 def to_csv(doc: ReportDocument) -> str:
@@ -175,27 +159,22 @@ def to_csv(doc: ReportDocument) -> str:
 
 
 def to_text(doc: ReportDocument) -> str:
-    """Human-readable rendering with the histogram and verdicts."""
-    lines = []
-    meta = doc.meta
-    lines.append(f"input: {meta.get('input', '')}")
-    lines.append(
-        f"position: {doc.census.position}   base: {doc.census.base}   "
-        f"sample size: {doc.census.sample_size}   exclusions: {doc.census.exclusions}"
-    )
-    lines.append("")
-    lines.append(f"{'digit':>5}  {'count':>8}  {'observed':>10}  {'expected':>10}  {'diff':>10}")
-    for i, r in enumerate(doc.histogram):
-        expected = f"{r.expected_freq:.4f}" if r.expected_freq is not None else "-"
-        diff = (
-            f"{r.observed_freq - r.expected_freq:+.4f}"
-            if r.expected_freq is not None
-            else "-"
-        )
+    """Human-readable rendering with the per-digit table and verdicts; the
+    frequencies print unrounded, to 4 places."""
+    census = doc.census
+    lines = [
+        f"input: {doc.meta.get('input', '')}",
+        f"position: {census.position}   base: {census.base}   "
+        f"sample size: {census.sample_size}   exclusions: {census.exclusions}",
+        "",
+        f"{'digit':>5}  {'count':>8}  {'observed':>10}  {'expected':>10}  {'diff':>10}",
+    ]
+    for digit, count, (observed, p) in zip(census.support, census.counts,
+                                           _frequencies(census)):
+        expected = "-" if p is None else f"{p:.4f}"
+        diff = "-" if p is None else f"{observed - p:+.4f}"
         lines.append(
-            f"{r.digit:>5}  {doc.census.counts[i]:>8}  {r.observed_freq:>10.4f}  "
-            f"{expected:>10}  {diff:>10}"
-        )
+            f"{digit:>5}  {count:>8}  {observed:>10.4f}  {expected:>10}  {diff:>10}")
     lines.append("")
     gof = doc.gof
     if gof is not None:
@@ -217,7 +196,7 @@ def to_text(doc: ReportDocument) -> str:
 
 def render(doc: ReportDocument, fmt: str) -> str:
     if fmt == "json":
-        return to_json(doc)
+        return json.dumps(to_json_dict(doc), indent=2)
     if fmt == "csv":
         return to_csv(doc)
     if fmt == "text":

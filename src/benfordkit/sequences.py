@@ -213,29 +213,36 @@ def _exact_alpha_digit(alpha: Fraction, n: int, base: int) -> int:
 class _Series(NamedTuple):
     values: Callable[..., Iterator]
     digits: Callable[..., Iterator[int]]
-    # (name, type, default) in argument order; default None = required.
-    params: tuple[tuple[str, type, int | None], ...]
+    # (name, type, default, help) in argument order; default None = required.
+    params: tuple[tuple[str, type, int | None, str], ...]
 
 
 # The series kinds: each one's value and first-digit generators and the
-# parameters both take (the digit generator also takes the base).
+# parameters both take (the digit generator also takes the base). The CLI
+# builds `generate`'s flags, kind choices and epilog from this table.
 _SERIES = {
     "fibonacci": _Series(
         fibonacci_values,
         fibonacci_digits,
-        (("a1", int, 1), ("a2", int, 1), ("terms", int, None)),
+        (("a1", int, 1, "first seed"), ("a2", int, 1, "second seed"),
+         ("terms", int, None, "number of terms")),
     ),
-    "primes": _Series(prime_values, prime_digits, (("below", int, None),)),
+    "primes": _Series(prime_values, prime_digits,
+                      (("below", int, None, "exclusive upper bound"),)),
     "power_alpha": _Series(
         alpha_power_values,
         alpha_power_digits,
-        (("alpha", Fraction, None), ("n", int, None)),
+        (("alpha", Fraction, None, "ratio > 1, e.g. 1007/1000 or 1.007"),
+         ("n", int, None, "term count")),
     ),
-    "factorial": _Series(factorial_values, factorial_digits, (("n", int, None),)),
+    "factorial": _Series(factorial_values, factorial_digits,
+                         (("n", int, None, "term count"),)),
     "power_n": _Series(
-        n_power_values, n_power_digits, (("k", int, None), ("n", int, None))
+        n_power_values, n_power_digits,
+        (("k", int, None, "exponent"), ("n", int, None, "term count")),
     ),
-    "pascal": _Series(pascal_values, pascal_digits, (("rows", int, None),)),
+    "pascal": _Series(pascal_values, pascal_digits,
+                      (("rows", int, None, "number of rows"),)),
 }
 
 
@@ -256,7 +263,7 @@ class SequenceSpec:
         if self.kind not in _SERIES:
             raise DomainError(f"unknown sequence kind {self.kind!r}")
         check_base(self.base)
-        names = [name for name, _, _ in _SERIES[self.kind].params]
+        names = [name for name, *_ in _SERIES[self.kind].params]
         unknown = [key for key in self.params if key not in names]
         if unknown:
             raise DomainError(
@@ -266,12 +273,12 @@ class SequenceSpec:
 
     def _arguments(self) -> list:
         kind, params = self.kind.replace("_", "-"), _SERIES[self.kind].params
-        missing = [f"--{name}" for name, _, default in params
+        missing = [f"--{name}" for name, _, default, _ in params
                    if default is None and name not in self.params]
         if missing:
             raise DomainError(f"{kind} requires {' and '.join(missing)}")
         arguments = []
-        for name, convert, default in params:
+        for name, convert, default, _ in params:
             value = self.params.get(name, default)
             try:
                 arguments.append(convert(value))

@@ -377,7 +377,7 @@ def _census(
             near_digits[i] = extract_digits_rational(num, den, 1, base).first
     digits[subset] = near_digits
 
-    counts = tuple(int(c) for c in np.bincount(digits, minlength=base)[1:base])
+    counts = tuple(np.bincount(digits, minlength=base)[1:base].tolist())
     return DigitCensus(1, base, counts, spec.walkers - sum(counts))
 
 

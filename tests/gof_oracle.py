@@ -1,17 +1,23 @@
-"""The conformance statistics, expected-law lookup and CSV row as they were
-when the statistics ran on numpy arrays, for differential tests.
+"""The conformance statistics, expected-law lookup, CSV row and text report
+as they were when the statistics ran on numpy arrays and each report
+document carried a per-digit histogram, for differential tests.
 
 `chi_square`, `tvd_benford`, `max_deviation` and `full_report` took the
 observed frequencies from `DigitCensus.frequencies()` and the expected ones
 from numpy arrays; `_expected_frequencies` picked the law per position and
-base; `to_csv` wrote its field list by hand. `benfordkit.gof` now runs on
-tuples with `math.fsum`, `benfordkit.report` reads the law from
-`law.marginal_distribution` and flattens the JSON document into the CSV
-row, and each must give the same numbers and the same text.
+base; `_histogram` built the document's per-digit rows; `to_csv` wrote its
+field list by hand and `to_text` printed the rows. `benfordkit.gof` now
+runs on tuples with `math.fsum`, and `benfordkit.report` derives each
+digit's frequencies from the census and `law.marginal_distribution`,
+flattens the JSON document into the CSV row and prints the unrounded
+frequencies as text; each must give the same numbers and the same text.
 
 These are verbatim copies, except that `_frequencies(census)` stands where
 they called `census.frequencies()`; it is a verbatim copy of that method's
-body. The census, report and document types are the package's.
+body. `_histogram` is the row loop that built the document, with
+`_expected_frequencies` as its law, and the renderers read its rows where
+they read `doc.histogram`. The census, report and document types are the
+package's.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -115,6 +122,29 @@ def _expected_frequencies(census: DigitCensus) -> Optional[list[float]]:
     return None
 
 
+@dataclass(frozen=True)
+class HistogramRow:
+    digit: int
+    observed_freq: float
+    expected_freq: Optional[float]
+
+
+def _histogram(census: DigitCensus) -> tuple[HistogramRow, ...]:
+    expected = _expected_frequencies(census)
+    size = census.sample_size
+    rows = []
+    for i, digit in enumerate(census.support):
+        observed = census.counts[i] / size if size else 0.0
+        rows.append(
+            HistogramRow(
+                digit=digit,
+                observed_freq=observed,
+                expected_freq=expected[i] if expected is not None else None,
+            )
+        )
+    return tuple(rows)
+
+
 def to_csv(doc: ReportDocument) -> str:
     """One summary row; per-digit columns are suffixed with the digit."""
     gof = doc.gof
@@ -134,13 +164,14 @@ def to_csv(doc: ReportDocument) -> str:
         gof.verdict_5pct if gof else "",
         gof.verdict_1pct if gof else "",
     ]
-    for r in doc.histogram:
+    histogram = _histogram(doc.census)
+    for r in histogram:
         header.append(f"count_{r.digit}")
         row.append(doc.census.count_of(r.digit))
-    for r in doc.histogram:
+    for r in histogram:
         header.append(f"observed_{r.digit}")
         row.append(round12(r.observed_freq))
-    for r in doc.histogram:
+    for r in histogram:
         header.append(f"expected_{r.digit}")
         row.append(round12(r.expected_freq) if r.expected_freq is not None else "")
     out = io.StringIO()
@@ -148,3 +179,44 @@ def to_csv(doc: ReportDocument) -> str:
     writer.writerow(header)
     writer.writerow(row)
     return out.getvalue()
+
+
+def to_text(doc: ReportDocument) -> str:
+    """Human-readable rendering with the histogram and verdicts."""
+    lines = []
+    meta = doc.meta
+    lines.append(f"input: {meta.get('input', '')}")
+    lines.append(
+        f"position: {doc.census.position}   base: {doc.census.base}   "
+        f"sample size: {doc.census.sample_size}   exclusions: {doc.census.exclusions}"
+    )
+    lines.append("")
+    lines.append(f"{'digit':>5}  {'count':>8}  {'observed':>10}  {'expected':>10}  {'diff':>10}")
+    for i, r in enumerate(_histogram(doc.census)):
+        expected = f"{r.expected_freq:.4f}" if r.expected_freq is not None else "-"
+        diff = (
+            f"{r.observed_freq - r.expected_freq:+.4f}"
+            if r.expected_freq is not None
+            else "-"
+        )
+        lines.append(
+            f"{r.digit:>5}  {doc.census.counts[i]:>8}  {r.observed_freq:>10.4f}  "
+            f"{expected:>10}  {diff:>10}"
+        )
+    lines.append("")
+    gof = doc.gof
+    if gof is not None:
+        lines.append(
+            f"chi-square ({DEGREES_OF_FREEDOM} d.o.f.): {round12(gof.chi_square)}   "
+            f"critical 5%: {CHI2_CRITICAL_5PCT}   1%: {CHI2_CRITICAL_1PCT}"
+        )
+        lines.append(f"total variation distance d1: {round12(gof.d1)}")
+        lines.append(
+            f"max deviation d_max: {round12(gof.d_max)} at digit {gof.d_max_digit}"
+        )
+        lines.append(
+            f"verdict: {gof.verdict_5pct} at 5%, {gof.verdict_1pct} at 1%"
+        )
+    else:
+        lines.append("report-only census (tests run on first-digit, base-10 data)")
+    return "\n".join(lines) + "\n"

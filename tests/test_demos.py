@@ -1,6 +1,8 @@
-"""Smoke test: every script under demos/ runs to completion."""
+"""Smoke tests: every script under demos/, and the README's library tour,
+run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +13,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_demos_found():
     assert DEMOS
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
-        capture_output=True, text=True, timeout=120,
-    )
+    result = _run([str(demo)])
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.DOTALL)
+    assert len(blocks) == 1
+    result = _run(["-c", blocks[0]])
     assert result.returncode == 0, result.stderr

@@ -1,8 +1,9 @@
-"""Differential tests of the conformance statistics and the CSV row: the
+"""Differential tests of the conformance statistics and the reports: the
 statistics on tuples with `math.fsum`, the law from
-`law.marginal_distribution` and the CSV row flattened from the JSON
-document, against the numpy statistics, the per-position law lookup and
-the hand-written CSV field list they replaced (`gof_oracle`).
+`law.marginal_distribution`, the CSV row flattened from the JSON document
+and the text report on frequencies derived from the census, against the
+numpy statistics, the per-position law lookup, the hand-written CSV field
+list and the histogram rows they replaced (`gof_oracle`).
 
 Sample sizes stay below 2**53. Above it the numpy frequencies rounded the
 size to a double before dividing, while `count / size` on integers is
@@ -74,11 +75,29 @@ def test_d1_in_any_base_matches_oracle(census):
 @given(_documents())
 def test_document_and_csv_row_match_oracle(doc):
     expected = gof_oracle._expected_frequencies(doc.census)
-    assert [r.expected_freq for r in doc.histogram] == (
-        expected if expected is not None else [None] * len(doc.histogram))
+    assert report.to_json_dict(doc)["expected"] == (
+        [report.round12(p) for p in expected] if expected is not None
+        else [None] * len(doc.census.counts))
     if doc.gof is not None:
         assert doc.gof == gof_oracle.full_report(doc.census)
     assert report.to_csv(doc) == gof_oracle.to_csv(doc)
+
+
+# digit 1 of `1 2 3` in base 8: 1/3 - log_8(2) is -5.6e-17, which prints as
+# -0.0000; the 12-digit JSON numbers would print +0.0000.
+_BASE8_123 = report.build_report(DigitCensus(1, 8, (1, 1, 1, 0, 0, 0, 0)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+@hypothesis.example(_BASE8_123)
+def test_text_report_matches_oracle(doc):
+    assert report.to_text(doc) == gof_oracle.to_text(doc)
+
+
+def test_text_report_prints_unrounded_frequencies():
+    assert report.to_text(_BASE8_123).splitlines()[4] == (
+        "    1         1      0.3333      0.3333     -0.0000")
 
 
 @pytest.mark.parametrize("position, base", [(2, 10), (1, 16), (3, 7)])
