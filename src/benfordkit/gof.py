@@ -9,21 +9,23 @@ which is the Pearson statistic with the first-digit law as the expected
 distribution. Verdicts compare against the fixed 8-degree-of-freedom
 critical values; no chi-square CDF is involved.
 
-`testable` is the one rule for which censuses the tests apply to. They run
-on tuples summed with `math.fsum`, against `law.marginal_distribution`.
-Which positions, bases and digits a census may have is `significand`'s
-rule; `digit_support` is re-exported from there.
+`testable` is the one rule for which censuses the tests apply to, and
+`compare_to_law` the one comparison of a census with the law. The tests sum
+its pairs with `math.fsum`; `tvd_benford` is the one d1. Which positions,
+bases and digits a census may have is `significand`'s rule; `digit_support`
+is re-exported from there.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
-from .significand import ExactDecimal, digit_at, digit_support, parse_token
+from .significand import ExactDecimal, digit_at, digit_slot, digit_support, parse_token
 
 if TYPE_CHECKING:
     import numpy as np
@@ -67,16 +69,10 @@ class DigitCensus:
     def from_digits(
         cls, digits: Iterable[int], position: int = 1, base: int = 10
     ) -> "DigitCensus":
-        """Count an iterable of already-extracted digit values."""
-        support = digit_support(position, base)
-        offset = support[0]
-        counts = [0] * len(support)
-        for d in digits:
-            if d < offset or d >= base:
-                raise DomainError(
-                    f"digit {d} outside support {support[0]}..{base - 1}"
-                )
-            counts[d - offset] += 1
+        """Count already-extracted digits, checking each distinct one once."""
+        counts = list(cls.empty(position, base).counts)
+        for digit, count in Counter(digits).items():
+            counts[digit_slot(digit, position, base)] += count
         return cls(position, base, tuple(counts))
 
     @property
@@ -88,12 +84,15 @@ class DigitCensus:
         return sum(self.counts)
 
     def count_of(self, digit: int) -> int:
-        return self.counts[self.support.index(digit)]
+        return self.counts[digit_slot(digit, self.position, self.base)]
 
     def frequencies(self) -> np.ndarray:
+        """Observed frequencies; EmptyCensus if nothing was counted."""
         import numpy as np
 
-        return np.asarray(_observed(self))
+        if not any(self.counts):
+            raise EmptyCensus("census has no counted values")
+        return np.asarray([observed for observed, _ in compare_to_law(self)])
 
     def merge(self, other: "DigitCensus") -> "DigitCensus":
         if (other.position, other.base) != (self.position, self.base):
@@ -168,11 +167,16 @@ def testable(census: DigitCensus) -> bool:
     return census.position == 1 and census.base == 10
 
 
-def _observed(census: DigitCensus) -> tuple[float, ...]:
-    size = census.sample_size
-    if size == 0:
-        raise EmptyCensus("census has no counted values")
-    return tuple(c / size for c in census.counts)
+def compare_to_law(census: DigitCensus) -> Iterator[tuple[float, Optional[float]]]:
+    """Each digit's observed frequency (0.0 in an empty census) and its
+    probability under `law.marginal_distribution`, or None where that has
+    no law, in support order; one lazy pass over the counts."""
+    size = census.sample_size or 1  # in an empty census every count is 0
+    try:
+        expected = law.marginal_distribution(census.position, census.base).probabilities
+    except DomainError:
+        expected = (None,) * len(census.counts)
+    return zip((count / size for count in census.counts), expected)
 
 
 def benford_frequencies() -> np.ndarray:
@@ -189,18 +193,15 @@ def tvd_benford(census: DigitCensus) -> float:
     """Total variation distance d1 between a first-digit census, in any
     base, and the first-digit law log_b(1 + 1/n) of that base."""
     if census.position != 1:
-        raise DomainError(
-            f"d1 needs a first-digit census, got position {census.position}"
-        )
-    expected = law.marginal_distribution(1, census.base).probabilities
-    return 0.5 * math.fsum(abs(o - e) for o, e in zip(_observed(census), expected))
+        raise DomainError(f"d1 needs a first-digit census, got position {census.position}")
+    if not any(census.counts):
+        raise EmptyCensus("census has no counted values")
+    return 0.5 * math.fsum(abs(o - e) for o, e in compare_to_law(census))
 
 
 def max_deviation(census: DigitCensus) -> tuple[float, int]:
-    """Largest per-digit |observed - expected| frequency and its digit.
-
-    Ties go to the smaller digit.
-    """
+    """Largest per-digit |observed - expected| frequency and its digit; ties
+    go to the smaller digit."""
     report = full_report(census)
     return report.d_max, report.d_max_digit
 
@@ -213,9 +214,6 @@ class GofReport:
     d1: float
     d_max: float
     d_max_digit: int
-    sample_size: int
-    observed_freq: tuple[float, ...]
-    expected_freq: tuple[float, ...]
     verdict_5pct: str
     verdict_1pct: str
 
@@ -234,20 +232,16 @@ def full_report(census: DigitCensus) -> GofReport:
             "conformance tests run on first-digit, base-10 censuses only; "
             f"got position {census.position}, base {census.base}"
         )
-    observed = _observed(census)
-    expected = law.marginal_distribution(1).probabilities
-    chi2 = math.fsum((e - o) * (e - o) / e for o, e in zip(observed, expected))
-    chi2 *= census.sample_size
-    deviations = [abs(o - e) for o, e in zip(observed, expected)]
+    d1 = tvd_benford(census)  # EmptyCensus on an empty census
+    pairs = list(compare_to_law(census))
+    chi2 = math.fsum((e - o) * (e - o) / e for o, e in pairs) * census.sample_size
+    deviations = [abs(o - e) for o, e in pairs]
     d_max = max(deviations)
     return GofReport(
         chi_square=chi2,
-        d1=0.5 * math.fsum(deviations),
+        d1=d1,
         d_max=d_max,
         d_max_digit=deviations.index(d_max) + 1,  # the first of tied digits 1..9
-        sample_size=census.sample_size,
-        observed_freq=observed,
-        expected_freq=expected,
         verdict_5pct="reject" if chi2 > CHI2_CRITICAL_5PCT else "accept",
         verdict_1pct="reject" if chi2 > CHI2_CRITICAL_1PCT else "accept",
     )

@@ -15,12 +15,13 @@ deeper position, with the means and variances taken from the marginals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
-from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_support
+from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_slot, digit_support
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,10 +45,8 @@ class DigitDistribution:
     probabilities: tuple[float, ...]
 
     def prob(self, digit: int) -> float:
-        try:
-            return self.probabilities[self.support.index(digit)]
-        except ValueError:
-            raise DomainError(f"digit {digit} not in support {self.support}") from None
+        # The support ends at base - 1.
+        return self.probabilities[digit_slot(digit, self.position, self.support[-1] + 1)]
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -58,9 +57,8 @@ class DigitDistribution:
 def first_digit_prob(d: int, base: int = 10) -> float:
     """P(first significant digit = d) in ``base``: log_base(1 + 1/d)."""
     check_base(base)
-    if d < 1 or d > base - 1:
-        raise DomainError(f"first digit must lie in [1, {base - 1}], got {d}")
-    return math.log1p(1.0 / d) / math.log(base)
+    digit_slot(d, 1, base)
+    return math.log1p(1.0 / operator.index(d)) / math.log(base)
 
 
 def first_digit_distribution(base: int = 10) -> DigitDistribution:
@@ -80,13 +78,10 @@ def joint_prob(digits: Sequence[int]) -> float:
     digits = tuple(digits)
     if not digits:
         raise DomainError("at least one digit required")
-    if digits[0] < 1 or digits[0] > 9:
-        raise DomainError(f"leading digit must lie in [1, 9], got {digits[0]}")
-    if any(d < 0 or d > 9 for d in digits[1:]):
-        raise DomainError("trailing digits must lie in [0, 9]")
     m = 0
-    for d in digits:
-        m = 10 * m + d
+    for position, d in enumerate(digits, 1):
+        digit_slot(d, position, 10)
+        m = 10 * m + operator.index(d)
     return math.log1p(1.0 / m) / _LN10
 
 

@@ -2,11 +2,11 @@
 JSON, CSV, or plain text.
 
 A document keeps only the census, its statistics and the metadata; each
-digit's observed and expected frequencies are derived from the census by
-one function. JSON rounds them to 12 significant digits, the CSV row is
-the JSON document flattened, and text prints the same frequencies
+digit's observed and expected frequencies come from the census through
+`gof.compare_to_law`. JSON rounds them to 12 significant digits, the CSV
+row is the JSON document flattened, and text prints the same frequencies
 unrounded to 4 places. `gof.testable` decides which documents carry
-verdicts, `law.marginal_distribution` the expected law.
+verdicts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from . import __version__, law
+from . import __version__
 from .errors import DomainError
 from .gof import (
     CHI2_CRITICAL_1PCT,
@@ -26,6 +26,7 @@ from .gof import (
     DEGREES_OF_FREEDOM,
     DigitCensus,
     GofReport,
+    compare_to_law,
     full_report,
     testable,
 )
@@ -71,17 +72,6 @@ def build_report(
     return ReportDocument(meta=meta, census=census, gof=gof)
 
 
-def _frequencies(census: DigitCensus) -> list[tuple[float, Optional[float]]]:
-    """Each digit's observed frequency (0.0 in an empty census) and expected
-    frequency, or None where `law.marginal_distribution` has no law."""
-    size = census.sample_size
-    try:
-        expected = law.marginal_distribution(census.position, census.base).probabilities
-    except DomainError:
-        expected = (None,) * len(census.counts)
-    return [(count / size if size else 0.0, p) for count, p in zip(census.counts, expected)]
-
-
 def _timestamp() -> str:
     """Now, in UTC; or, when SOURCE_DATE_EPOCH is set, the time it gives in
     whole seconds since 1970, so that two runs print the same bytes."""
@@ -102,17 +92,14 @@ def _timestamp() -> str:
 def verify_report(doc: ReportDocument) -> bool:
     """Recompute the statistics from the document's own census and check
     they match what the document states."""
-    if doc.gof is None:
-        return True
-    fresh = full_report(doc.census)
-    return fresh == doc.gof
+    return doc.gof is None or full_report(doc.census) == doc.gof
 
 
 def to_json_dict(doc: ReportDocument) -> dict:
     """The documented JSON schema; report-only documents carry nulls in the
     test fields."""
     gof = doc.gof
-    frequencies = _frequencies(doc.census)
+    frequencies = list(compare_to_law(doc.census))
     return {
         "meta": doc.meta,
         "counts": list(doc.census.counts),
@@ -170,7 +157,7 @@ def to_text(doc: ReportDocument) -> str:
         f"{'digit':>5}  {'count':>8}  {'observed':>10}  {'expected':>10}  {'diff':>10}",
     ]
     for digit, count, (observed, p) in zip(census.support, census.counts,
-                                           _frequencies(census)):
+                                           compare_to_law(census)):
         expected = "-" if p is None else f"{p:.4f}"
         diff = "-" if p is None else f"{observed - p:+.4f}"
         lines.append(

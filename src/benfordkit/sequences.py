@@ -295,30 +295,25 @@ class SequenceSpec:
 
     @classmethod
     def from_config(cls, text: str) -> "SequenceSpec":
-        """Parse the small config format: one kind line plus key=value lines."""
-        kind = None
+        """Parse the small config format: one kind line plus key=value lines,
+        each key once (a bare line is the kind)."""
         params: dict = {}
-        base = 10
         for raw in text.splitlines():
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" in line:
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key == "kind":
-                    kind = value
-                elif key == "base":
-                    try:
-                        base = int(value)
-                    except ValueError:
-                        raise DomainError(
-                            f"config base: not an integer: {value!r}") from None
-                else:
-                    params[key] = value
-            else:
-                if kind is not None:
-                    raise DomainError(f"duplicate kind line {line!r}")
-                kind = line
+            if "=" not in line:
+                line = f"kind = {line}"
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in params:
+                raise DomainError(f"config key {key!r} given twice")
+            params[key] = value
+        base = params.pop("base", "10")
+        try:
+            base = int(base)
+        except ValueError:
+            raise DomainError(f"config base: not an integer: {base!r}") from None
+        kind = params.pop("kind", None)
         if kind is None:
             raise DomainError("config must name a sequence kind")
         return cls(kind=kind.replace("-", "_"), params=params, base=base)

@@ -8,7 +8,8 @@ and integers in any base on one division by a running power of the base.
 No float decides a digit, so exact powers of the base come out right.
 
 The digit domain is stated here once for the package: ``check_base``,
-``check_position`` and ``digit_support``; other modules call them.
+``check_position``, ``digit_support`` and the digit rule ``digit_slot``;
+other modules call them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -50,12 +52,34 @@ def check_position(position: int) -> None:
         raise DomainError(f"position must be <= {MAX_EXTRACT_DIGITS}, got {position}")
 
 
+def _lowest_digit(position: int) -> int:
+    return 1 if position == 1 else 0  # a first significant digit is never 0
+
+
 def digit_support(position: int, base: int) -> tuple[int, ...]:
     """Possible digit values at a significant-digit position: 1..base-1 at
     the first, 0..base-1 deeper. The base is checked before the position."""
     check_base(base)
     check_position(position)
-    return tuple(range(1, base)) if position == 1 else tuple(range(base))
+    return tuple(range(_lowest_digit(position), base))
+
+
+def digit_slot(digit: int, position: int, base: int) -> int:
+    """The digit rule: ``digit``'s index in ``digit_support(position, base)``
+    for a checked position and base, in O(1). Only integers in lo..base-1
+    pass (bools and numpy integers do, 2.0 does not); others are a
+    DomainError that names the range."""
+    lo = _lowest_digit(position)
+    try:
+        slot = operator.index(digit) - lo
+    except TypeError:
+        slot = -1
+    if 0 <= slot < base - lo:
+        return slot
+    # reprlib keeps the message short; it cannot print an int past 4300 digits.
+    got = f"a {slot.bit_length()}-bit integer" if slot.bit_length() > 64 else reprlib.repr(digit)
+    raise DomainError(
+        f"digit at position {position} must be an integer in {lo}..{base - 1}, got {got}")
 
 
 # One grammar, compiled for each separator setting: with separators on it

@@ -14,7 +14,9 @@ frequencies as text; each must give the same numbers and the same text.
 
 These are verbatim copies, except that `_frequencies(census)` stands where
 they called `census.frequencies()`; it is a verbatim copy of that method's
-body. `_histogram` is the row loop that built the document, with
+body. `full_report` no longer passes the sample size and the two frequency
+tuples, which `GofReport` copied from the census and the law and has
+dropped. `_histogram` is the row loop that built the document, with
 `_expected_frequencies` as its law, and the renderers read its rows where
 they read `doc.histogram`. The census, report and document types are the
 package's.
@@ -98,7 +100,7 @@ def max_deviation(census: DigitCensus) -> tuple[float, int]:
 
 def full_report(census: DigitCensus) -> GofReport:
     """Run all three tests and form verdicts at the 5% and 1% levels."""
-    observed = _check_testable(census)
+    _check_testable(census)
     chi2 = chi_square(census)
     d_max, d_max_digit = max_deviation(census)
     return GofReport(
@@ -106,9 +108,6 @@ def full_report(census: DigitCensus) -> GofReport:
         d1=tvd_benford(census),
         d_max=d_max,
         d_max_digit=d_max_digit,
-        sample_size=census.sample_size,
-        observed_freq=tuple(float(x) for x in observed),
-        expected_freq=tuple(float(x) for x in benford_frequencies()),
         verdict_5pct="reject" if chi2 > CHI2_CRITICAL_5PCT else "accept",
         verdict_1pct="reject" if chi2 > CHI2_CRITICAL_1PCT else "accept",
     )

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,11 @@ from benfordkit.gof import (
     CHI2_CRITICAL_1PCT,
     CHI2_CRITICAL_5PCT,
     DigitCensus,
+    GofReport,
     benford_frequencies,
     build_census,
     chi_square,
+    compare_to_law,
     digit_support,
     full_report,
     max_deviation,
@@ -175,14 +177,19 @@ class TestStatistics:
 
 class TestFullReport:
     def test_fields_consistent(self):
-        r = full_report(census(TABLE4_COUNTS))
-        assert r.sample_size == 183
+        c = census(TABLE4_COUNTS)
+        r = full_report(c)
+        pairs = list(compare_to_law(c))
         assert r.verdict_5pct == "accept" and r.verdict_1pct == "accept"
-        assert math.fsum(r.observed_freq) == pytest.approx(1.0, abs=1e-12)
-        assert r.d_max == max(
-            abs(o - e) for o, e in zip(r.observed_freq, r.expected_freq)
-        )
+        assert math.fsum(o for o, _ in pairs) == pytest.approx(1.0, abs=1e-12)
+        assert r.d_max == max(abs(o - e) for o, e in pairs)
+        assert r.d1 == tvd_benford(c)
         assert r.accepted(5) and r.accepted(1)
+
+    def test_fields_are_the_statistics_and_verdicts(self):
+        # The census and the law are not copied into the report.
+        assert [f.name for f in fields(GofReport)] == [
+            "chi_square", "d1", "d_max", "d_max_digit", "verdict_5pct", "verdict_1pct"]
 
     def test_accepted_reads_the_level_asked_for(self):
         # Chi-square 16.99 lies between the 5% and the 1% critical values.

@@ -437,6 +437,23 @@ class TestGenerateCommand:
         assert out.out == ""
         assert out.err == "error: config base: not an integer: 'x'\n"
 
+    @pytest.mark.parametrize("text, key", [
+        ("fibonacci\npascal\nrows = 3\n", "kind"),
+        ("kind = fibonacci\nkind = pascal\nrows = 3\n", "kind"),
+        ("fibonacci\nkind = pascal\nrows = 3\n", "kind"),
+        ("pascal\nrows = 3\nrows = 2\n", "rows"),
+        ("fibonacci\nterms = 5\nbase = 16\nbase = 10\n", "base"),
+    ], ids=["two-kind-lines", "two-kind-keys", "kind-line-then-key", "series-parameter",
+            "base"])
+    def test_config_key_given_twice_is_an_error(self, text, key, tmp_path, capsys):
+        # Not the last value silently winning.
+        config = tmp_path / "series.cfg"
+        config.write_text(text)
+        assert cli.main(["generate", "--config", str(config)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: config key {key!r} given twice\n"
+
     @pytest.mark.parametrize("text, flags, message", [
         ("fibonacci\nterms = x\n", [], "fibonacci --terms: not an integer: 'x'"),
         ("power-alpha\nalpha = 1/0\nn = 3\n", ["--alpha", "1/0", "--n", "3"],
