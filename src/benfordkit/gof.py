@@ -19,8 +19,10 @@ is re-exported from there.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from . import law
@@ -33,6 +35,8 @@ if TYPE_CHECKING:
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
 DEGREES_OF_FREEDOM = 8
+# Digits DigitCensus.from_digits takes at a time.
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,9 +73,23 @@ class DigitCensus:
     def from_digits(
         cls, digits: Iterable[int], position: int = 1, base: int = 10
     ) -> "DigitCensus":
-        """Count already-extracted digits, checking each distinct one once."""
+        """Count already-extracted digits, checking each distinct one once.
+
+        Items are counted a slice at a time through ``operator.index``, so a
+        non-integer equal to a digit (1.0) never merges with that digit's
+        count: the slice it is in is read by the digit rule, which raises.
+        """
         counts = list(cls.empty(position, base).counts)
-        for digit, count in Counter(digits).items():
+        tally: Counter = Counter()
+        items = iter(digits)
+        while chunk := list(islice(items, _CHUNK)):
+            try:
+                tally.update(map(operator.index, chunk))
+            except TypeError:
+                for digit in chunk:
+                    digit_slot(digit, position, base)
+                raise
+        for digit, count in tally.items():
             counts[digit_slot(digit, position, base)] += count
         return cls(position, base, tuple(counts))
 

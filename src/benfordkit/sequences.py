@@ -11,6 +11,15 @@ base (at least 60 significant decimal digits' worth, with tracked
 floor/ceil error), so the leading digit is one integer division in every
 base; a digit is emitted only once both interval endpoints agree on it,
 and the rare uncertified term falls back to exact big-rational powering.
+
+The integer series are read by their structure. The primes come from one
+sieve as an int64 array, exact because they stay below PRIME_BOUND_CAP;
+their digits are the array divided by the largest power of the base at
+most each prime, so no prime becomes a Python integer. Pascal's rows are
+built and read half at a time and emitted mirrored, C(n, r) = C(n, n - r).
+Recursions, factorials and n**k go through ``significand._first_digits``,
+one running power of the base: a term one digit away steps it, a term
+several digits up (most factorials) re-seeds it from the power it carries.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .errors import DomainError
 from .significand import _exponent_below, _first_digits, check_base, extract_digits_rational
 
 PRIME_BOUND_CAP = 10**8
+_PRIME_CHUNK = 2**16
 PRODUCT_DIGITS = 60
 
 # Default configuration for the pooled-recursion conformance suite: seven
@@ -51,8 +61,9 @@ def fibonacci_digits(a1: int, a2: int, n_terms: int, base: int = 10) -> Iterator
     return _first_digits(fibonacci_values(a1, a2, n_terms), base)
 
 
-def prime_values(bound: int) -> Iterator[int]:
-    """All primes strictly below ``bound``, by sieve of Eratosthenes."""
+def _sieve(bound: int):
+    """The primes strictly below ``bound`` as an int64 array, by sieve of
+    Eratosthenes. Every one is below PRIME_BOUND_CAP, so int64 is exact."""
     if bound < 2:
         raise DomainError("bound must be >= 2")
     if bound > PRIME_BOUND_CAP:
@@ -64,12 +75,34 @@ def prime_values(bound: int) -> Iterator[int]:
     for p in range(2, math.isqrt(bound - 1) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    for p in np.nonzero(flags)[0]:
-        yield int(p)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def _chunks(array) -> Iterator:
+    # A Python int in a list costs about 36 bytes, so the 5.8 million primes
+    # below the cap would take 200 MB at once; a slice at a time bounds that.
+    return (array[i : i + _PRIME_CHUNK] for i in range(0, len(array), _PRIME_CHUNK))
+
+
+def prime_values(bound: int) -> Iterator[int]:
+    """All primes strictly below ``bound``, by sieve of Eratosthenes."""
+    for chunk in _chunks(_sieve(bound)):
+        yield from chunk.tolist()
 
 
 def prime_digits(bound: int, base: int = 10) -> Iterator[int]:
-    return _first_digits(prime_values(bound), base)
+    """First digits of the primes below ``bound``, read off the sieve's array:
+    each prime divided by the largest power of the base at most it, in int64."""
+    import numpy as np
+
+    primes = _sieve(bound)
+    check_base(base)
+    powers = [1]
+    while powers[-1] * base < bound:
+        powers.append(powers[-1] * base)
+    powers = np.array(powers, dtype=np.int64)
+    for chunk in _chunks(primes):
+        yield from (chunk // powers[np.searchsorted(powers, chunk, "right") - 1]).tolist()
 
 
 def factorial_values(n_max: int) -> Iterator[int]:
@@ -100,19 +133,34 @@ def n_power_digits(k: int, n_max: int, base: int = 10) -> Iterator[int]:
     return _first_digits(n_power_values(k, n_max), base)
 
 
-def pascal_values(rows: int) -> Iterator[int]:
-    """Binomial coefficients C(n, r) for n < rows, rows read left to right."""
+def _pascal_halves(rows: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, [C(n, 0), ..., C(n, n // 2)]) for n < rows: each row's first half."""
     if rows < 1:
         raise DomainError("rows must be >= 1")
     for n in range(rows):
-        c = 1
-        for r in range(n + 1):
-            yield c
+        c, half = 1, [1]
+        for r in range(n // 2):
             c = c * (n - r) // (r + 1)
+            half.append(c)
+        yield n, half
+
+
+def _mirrored(half: list, n: int) -> list:
+    """Row n of Pascal's triangle, or of its digits, from its first half:
+    C(n, r) = C(n, n - r)."""
+    return half + half[: (n + 1) // 2][::-1]
+
+
+def pascal_values(rows: int) -> Iterator[int]:
+    """Binomial coefficients C(n, r) for n < rows, rows read left to right."""
+    for n, half in _pascal_halves(rows):
+        yield from _mirrored(half, n)
 
 
 def pascal_digits(rows: int, base: int = 10) -> Iterator[int]:
-    return _first_digits(pascal_values(rows), base)
+    """First digits of ``pascal_values``, each row's first half read and mirrored."""
+    for n, half in _pascal_halves(rows):
+        yield from _mirrored(list(_first_digits(half, base)), n)
 
 
 AlphaLike = Union[Fraction, int, str, float]

@@ -275,12 +275,14 @@ def extract_digits_rational(
     return SignificantDigits(base=base, digits=tuple(digits), exponent=e)
 
 
-def _decimal_significand(digits: str, exponent: int, k: int) -> tuple[str, int]:
-    """The first k significant base-10 digits of the nonzero 0.<digits> *
-    10**exponent, padded with zeros, and the power of ten of the first.
+def _decimal_significand(digits: str, exponent: int) -> tuple[str, int]:
+    """The significant base-10 digits of the nonzero 0.<digits> * 10**exponent,
+    first nonzero digit leading, and the power of ten of the first.
 
     This is the one place a base-10 digit is read: straight off a digit
-    string, with no Fraction and no power of ten built.
+    string, with no Fraction and no power of ten built. It checks no
+    position: a zero raises ZeroValue first, and callers check the position
+    after it (``gof.count_digits`` once per census).
     """
     if not digits.isascii():
         # Other Unicode decimal digits ("٣", "３") read as their values.
@@ -292,8 +294,12 @@ def _decimal_significand(digits: str, exponent: int, k: int) -> tuple[str, int]:
             raise ZeroValue("value is zero; no significant digit exists")
         exponent -= len(digits) - len(stripped)
         digits = stripped
-    check_position(k)
-    return digits[:k].ljust(k, "0"), exponent - 1
+    return digits, exponent - 1
+
+
+def _decimal_digit(digits: str, position: int) -> int:
+    """The digit at a checked ``position`` of significant digits; 0 past their end."""
+    return int(digits[position - 1:position] or 0)
 
 
 def extract_digits(value: ExactDecimal, k: int, base: int = 10) -> SignificantDigits:
@@ -304,8 +310,9 @@ def extract_digits(value: ExactDecimal, k: int, base: int = 10) -> SignificantDi
     the stored digits, other bases go through the exact rational value.
     """
     if base == 10:
-        digits, exponent = _decimal_significand(value.digits, value.exponent, k)
-        return SignificantDigits(10, tuple(map(int, digits)), exponent)
+        digits, exponent = _decimal_significand(value.digits, value.exponent)
+        check_position(k)
+        return SignificantDigits(10, tuple(map(int, digits[:k].ljust(k, "0"))), exponent)
     if value.is_zero:
         raise ZeroValue("value is zero; no significant digit exists")
     frac = value.as_fraction()
@@ -320,18 +327,22 @@ def digit_at(value: ExactDecimal, position: int, base: int = 10) -> int:
     1..MAX_EXTRACT_DIGITS. In base 10 no SignificantDigits is built.
     """
     if base == 10:
-        return int(_decimal_significand(value.digits, value.exponent, position)[0][-1])
+        digits, _ = _decimal_significand(value.digits, value.exponent)
+        check_position(position)
+        return _decimal_digit(digits, position)
     return extract_digits(value, position, base).digits[-1]
 
 
 def _match_digit(m: re.Match[str], position: int, base: int) -> int:
-    """``digit_at`` of the token a grammar match holds. Base 10 reads the
-    written digits, so it builds no record and never reads the exponent."""
+    """``digit_at`` of the token a grammar match holds, at a position the
+    caller has checked (``gof.count_digits`` checks it once per census).
+    Base 10 reads the written digits, so it builds no record and never
+    reads the exponent."""
     if base != 10:
         return digit_at(_decimal_from_match(m), position, base)
     int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")
     written = (int_part or "").replace(",", "") + (frac or lone_frac or "")
-    return int(_decimal_significand(written, 0, position)[0][-1])
+    return _decimal_digit(_decimal_significand(written, 0)[0], position)
 
 
 def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigits:
@@ -343,7 +354,8 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
 
 def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
     """Leading digits of nonzero integers, by p, the largest power of the base at most |v|,
-    carried over: a one-digit move steps p; a jump re-seeds it below |v| from the bit length."""
+    carried over: a one-digit move steps p; a jump up re-seeds it relative to the power
+    carried (p * base**g, g from the bit lengths), any other jump relative to 1."""
     p = top = 0  # top = p * base; the first term seeds
     for value in values:
         v = abs(operator.index(value))
@@ -356,7 +368,11 @@ def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
                 if v == 0:
                     raise ZeroValue("value is zero; no significant digit exists")
                 check_base(base)
-                p = top = base ** max(0, _exponent_below(v.bit_length() - 1, base))
+                # From top after a jump up, else from 1, by base**g: it is at most
+                # 2**(bit-length difference - 1), below v / seed.
+                seed = top if 0 < top <= v else 1
+                g = _exponent_below(v.bit_length() - seed.bit_length() - 1, base)
+                p = top = seed * base ** max(0, g)
                 while top <= v:
                     p, top = top, top * base
         yield v // p

@@ -108,3 +108,21 @@ def test_from_digits_checks_each_distinct_digit_once():
     assert census.counts == (2, 0, 2, 0, 0, 0, 0, 0, 1)
     with pytest.raises(DomainError, match="got 1.5$"):
         DigitCensus.from_digits([1, 2, 1.5, 2], 1, 10)
+
+
+@pytest.mark.parametrize("digits", [
+    [1, 1.0], [1.0, 1], [2, 3, 1, 1.0], [1] * (1 << 16) + [1.0], [np.int64(1), 1.0],
+], ids=["int-first", "float-first", "float-last", "float-past-a-slice", "numpy-first"])
+def test_from_digits_never_merges_a_non_integer_with_an_equal_digit(digits):
+    for stream in (digits, iter(digits)):
+        with pytest.raises(DomainError, match="got 1.0$"):
+            DigitCensus.from_digits(stream, 1, 10)
+
+
+def test_from_digits_leaves_a_stream_error_alone():
+    def stream():
+        yield 1
+        raise TypeError("from the stream")
+
+    with pytest.raises(TypeError, match="^from the stream$"):
+        DigitCensus.from_digits(stream(), 1, 10)

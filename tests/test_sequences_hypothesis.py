@@ -1,14 +1,22 @@
 """Differential tests of the series digit streams against exact
 big-rational extraction, over bases 2-64: the certified alpha**n stream on
 alphas on, next to and far from powers of the base, and every integer
-series read by the running-power reader."""
+series read by the running-power reader. Each series read by its structure
+has its own: the running-power reader over jumps of up to 400 digits, the
+mirrored Pascal rows against ``math.comb``, and the sieve's int64 read of
+the primes against the running-power reader in bases up to MAX_BASE."""
 
+import math
 from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
 
-from benfordkit.sequences import SequenceSpec, alpha_power_digits
-from benfordkit.significand import extract_digits_rational
+from benfordkit.errors import ZeroValue
+from benfordkit.sequences import (
+    SequenceSpec, alpha_power_digits, pascal_digits, prime_digits, prime_values)
+from benfordkit.significand import MAX_BASE, _first_digits, extract_digits_rational
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -85,3 +93,102 @@ class TestIntegerSeriesDifferential:
         assert list(spec.digit_stream()) == [
             extract_digits_rational(v, 1, 1, spec.base).first
             for v in spec.value_stream()]
+
+
+def _first(value: int, base: int) -> int:
+    return extract_digits_rational(abs(int(value)), 1, 1, base).first
+
+
+@st.composite
+def _jumping_values(draw):
+    """(values, base): nonzero integers d * base**e + offset whose exponent e
+    moves by 0 to 400 digits a term, up and down; d = base is the next power
+    and the offset is -1, 0, 1 or below base**e. Some are negative, and
+    those that fit are numpy integers."""
+    base = draw(st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE)))
+    e, values = draw(st.integers(0, 3)), []
+    for _ in range(draw(st.integers(1, 30))):
+        e = max(0, e + draw(st.one_of(st.integers(-2, 2), st.integers(-400, 400))))
+        power = base**e
+        offset = draw(st.one_of(st.sampled_from((-1, 0, 1)), st.integers(0, power - 1)))
+        v = draw(st.integers(1, base)) * power + offset or 1
+        v = -v if draw(st.booleans()) else v
+        kinds = [kind for kind, bits in ((np.int32, 31), (np.int64, 63))
+                 if -(2**bits) <= v < 2**bits]
+        values.append(draw(st.sampled_from([int, *kinds]))(v))
+    return values, base
+
+
+class TestFirstDigitsDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_jumping_values())
+    @example(([1, 10**400, 10**400 - 1, 10**800 + 1, 7, -(10**3)], 10))
+    @example(([2**64, 3, 2**4000, 2**3999 - 1], 2))
+    def test_matches_exact_rational_extraction(self, case):
+        values, base = case
+        assert list(_first_digits(values, base)) == [_first(v, base) for v in values]
+
+    @settings(max_examples=50, deadline=None)
+    @given(_jumping_values(), st.data())
+    def test_zero_mid_stream_raises(self, case, data):
+        values, base = case
+        at = data.draw(st.integers(0, len(values)))
+        zero = data.draw(st.sampled_from((0, np.int64(0))))
+        stream = _first_digits(values[:at] + [zero] + values[at:], base)
+        assert list(islice(stream, at)) == [_first(v, base) for v in values[:at]]
+        with pytest.raises(ZeroValue):
+            next(stream)
+
+
+@st.composite
+def _pascal_cases(draw):
+    """(rows, base): up to 200 rows, odd and even counts, some at or next
+    to a power of the base, so C(n, 1) = n sits on one."""
+    base = draw(st.integers(2, 64))
+    rows = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, max(k for k in range(1, 8) if base**k < 200)))
+        rows = base**k + draw(st.sampled_from((-1, 0, 1)))
+    return rows, base
+
+
+class TestPascalDifferential:
+    @settings(max_examples=40, deadline=None)
+    @given(_pascal_cases())
+    @example((1, 10))
+    @example((2, 10))
+    @example((200, 2))
+    @example((199, 64))
+    def test_rows_in_order_match_comb(self, case):
+        rows, base = case
+        assert list(pascal_digits(rows, base)) == [
+            _first(math.comb(n, r), base) for n in range(rows) for r in range(n + 1)]
+
+
+# Largest sieve bound a prime example may draw; it keeps one to a few
+# tens of milliseconds.
+MAX_PRIME_BOUND = 2_000_001
+
+
+@st.composite
+def _prime_cases(draw):
+    """(below, base): base in 65..MAX_BASE and below at or next to a power
+    of it, base**k - 1, base**k or base**k + 1; or below 2 or 3."""
+    base = draw(st.one_of(st.integers(65, 200), st.integers(65, MAX_BASE)))
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from((2, 3))), base
+    k = draw(st.integers(1, max(k for k in (1, 2, 3) if base**k < MAX_PRIME_BOUND)))
+    return base**k + draw(st.sampled_from((-1, 0, 1))), base
+
+
+class TestSieveDigitsDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(_prime_cases())
+    @example((2, 65))
+    @example((3, MAX_BASE))
+    @example((68, 67))
+    @example((99_992, 99_991))
+    @example((MAX_BASE + 1, MAX_BASE))
+    def test_matches_running_power_reader(self, case):
+        below, base = case
+        assert list(prime_digits(below, base)) == list(_first_digits(prime_values(below), base))

@@ -212,6 +212,17 @@ class TestDigitAt:
             with pytest.raises(DomainError):
                 digit_at(parse_token("5"), k, 16)
 
+    def test_zero_is_reported_before_the_position(self):
+        # The position is checked after the zero test, and before any padding.
+        for base in (10, 16):
+            for k in (0, MAX_EXTRACT_DIGITS + 1, 10**12):
+                with pytest.raises(ZeroValue):
+                    digit_at(parse_token("0.00"), k, base)
+                with pytest.raises(ZeroValue):
+                    extract_digits(parse_token("0"), k, base)
+                with pytest.raises(DomainError):
+                    extract_digits(parse_token("5"), k, base)
+
     def test_other_unicode_decimal_digits(self):
         # The token grammar's \d matches any Unicode decimal digit; they
         # read as their values, leading zeros included.
