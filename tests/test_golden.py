@@ -3,6 +3,9 @@ SOURCE_DATE_EPOCH=0, replayed byte for byte.
 
 The cases cover `analyze` on the packaged sample in every format, a small
 text file at another base, at a deeper position and with an empty census,
+a text of zero, signed, grouped, glued, Unicode-digit and year tokens over
+LF, CR and U+2028 line ends with separators and a skip pattern, a CSV
+with zero and non-numeric cells,
 `generate --census` for every series kind in bases 10 and 16, every
 `expected` table and draw-free `simulate` runs. The simulator prints the
 numpy version it ran with; that line is masked.
@@ -52,6 +55,11 @@ CASES = {
                                                      "--position", "2", "--format", fmt])
        for fmt in ("json", "csv", "text")},
     "analyze-empty": ("inputs", ["analyze", "empty.txt"]),
+    "analyze-mixed-separators-skip-json": ("inputs", ["analyze", "mixed.txt", "--separators",
+                                                      "--skip-shape", r"\d{4}",
+                                                      "--format", "json"]),
+    "analyze-ledger-columns-csv": ("inputs", ["analyze", "ledger.csv", "--column", "amount",
+                                              "--column", "note", "--format", "csv"]),
     **{f"generate-{kind}-base{base}": ("inputs", ["generate", kind, *flags, "--base", base,
                                                   "--census"])
        for kind, flags in _SERIES.items() for base in ("10", "16")},
