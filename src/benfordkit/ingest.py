@@ -5,14 +5,16 @@ scientific notation included -- and parses it exactly, so 0.150 counts a
 first significant digit of 1 rather than a leading character of 0, and
 surrounding prose never causes an error. Tokens glued to letters ("A4",
 "v2.0") are not numbers and are left alone. What counts as standalone is
-decided in one place, the token pattern (``significand.token_pattern``):
-the scanner runs it once over each line and keeps the matches it marks.
-A table cell is a token when the token grammar matches all of it.
+decided in one place, the token pattern (``significand.token_pattern``). A
+table cell is a token when the token grammar matches all of it.
 
 The token records (``scan_text``, ``read_table``) and the censuses
-(``census_from_text``, ``census_from_table``) walk the same matches. The
-censuses count each digit straight from its match: in base 10 off the
-written digits, with no record built and the exponent never read.
+(``census_from_text``, ``census_from_table``) walk the same matches: the
+records run the pattern over each line, for line numbers, and the text
+census once over the whole text. The censuses count each digit straight
+from its match, with no record built. In base 10 at position 1 the match
+carries the first significant digit, read by the pattern itself; other
+tokens are read off their written digits, the exponent never read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from .errors import DomainError, EncodingError, FormatError, MissingColumn
@@ -79,17 +82,6 @@ def _decode(data: str | bytes, encoding: str) -> str:
     return data.removeprefix("\ufeff")
 
 
-def _text_matches(
-    data: str | bytes, encoding: str, separators: bool
-) -> Iterator[tuple[int, re.Match[str]]]:
-    """(line number, match) for every standalone token, line by line."""
-    pattern = token_pattern(separators)
-    for lineno, line in enumerate(_decode(data, encoding).splitlines(), start=1):
-        for m in pattern.finditer(line):
-            if m.group("alone") is not None:
-                yield lineno, m
-
-
 def scan_text(
     data: str | bytes,
     policy: ScanPolicy = ScanPolicy(),
@@ -101,9 +93,12 @@ def scan_text(
     words are skipped; the token pattern decides. Non-numeric text never raises; the only possible
     error is a bytes input that fails to decode.
     """
-    for lineno, m in _text_matches(data, encoding, policy.thousands_separators):
-        yield NumberToken(value=_decimal_from_match(m), line=lineno,
-                          column=m.start() + 1, raw=m.group())
+    pattern = token_pattern(policy.thousands_separators)
+    for lineno, line in enumerate(_decode(data, encoding).splitlines(), start=1):
+        for m in pattern.finditer(line):
+            if m.group("alone") is not None:
+                yield NumberToken(value=_decimal_from_match(m), line=lineno,
+                                  column=m.start() + 1, raw=m.group())
 
 
 def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
@@ -118,14 +113,15 @@ def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
         raise FormatError(f"row {rowno + 1}: {exc}") from None
 
 
-def _table_items(
+def _table_matches(
     data: str | bytes,
     fmt: str,
     policy: ScanPolicy,
     encoding: str,
-) -> Iterator[tuple[int, int, re.Match[str] | None]]:
-    """(row number, table column, token match) for every selected cell,
-    row by row; the match is None for a cell that is not a numeric token.
+) -> tuple[list[int], Iterator[tuple[int, Iterator[re.Match[str] | None]]]]:
+    """The selected table columns, and for every row after the header its
+    row number and the token match of each selected cell, stripped of
+    surrounding space; the match is None for a cell that is not a token.
 
     Row numbers count every record, the header included; empty records
     (blank lines) are skipped. Records may end in CR, LF or CRLF. Ragged
@@ -136,10 +132,10 @@ def _table_items(
         raise FormatError(f"unsupported table format {fmt!r}")
     text = _decode(data, encoding)
     reader = csv.reader(io.StringIO(text, newline=""), delimiter="," if fmt == "csv" else "\t")
-    rows = _records(reader)
-    _, header = next(rows, (None, None))
+    records = _records(reader)
+    _, header = next(records, (None, None))
     if header is None:
-        return
+        return [], iter(())
     if policy.columns is None:
         selected = list(range(len(header)))
     else:
@@ -154,13 +150,16 @@ def _table_items(
                 raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))
     cell_token = _TOKEN[policy.thousands_separators].fullmatch
-    for rowno, row in rows:
-        if len(row) != len(header):
-            raise FormatError(
-                f"row {rowno}: expected {len(header)} fields, got {len(row)}"
-            )
-        for idx in selected:
-            yield rowno, idx, cell_token(row[idx].strip())
+
+    def rows() -> Iterator[tuple[int, Iterator[re.Match[str] | None]]]:
+        for rowno, row in records:
+            if len(row) != len(header):
+                raise FormatError(
+                    f"row {rowno}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield rowno, map(cell_token, [row[idx].strip() for idx in selected])
+
+    return selected, rows()
 
 
 def read_table(
@@ -174,9 +173,12 @@ def read_table(
     The first non-empty row is the header. Cells that are not numeric
     tokens are skipped here; ``census_from_table`` counts them as exclusions.
     """
-    return (NumberToken(value=_decimal_from_match(m), line=rowno, column=idx + 1,
-                        raw=m.group())
-            for rowno, idx, m in _table_items(data, fmt, policy, encoding) if m is not None)
+    selected, rows = _table_matches(data, fmt, policy, encoding)
+    for rowno, matches in rows:
+        for idx, m in zip(selected, matches):
+            if m is not None:
+                yield NumberToken(value=_decimal_from_match(m), line=rowno,
+                                  column=idx + 1, raw=m.group())
 
 
 def census_from_tokens(
@@ -199,16 +201,24 @@ def census_from_tokens(
         position, base)
 
 
+def _skipping(
+    matches: Iterable[re.Match[str] | None], skip: re.Pattern[str]
+) -> Iterator[re.Match[str] | None]:
+    """The matches, with None for each whose raw text ``skip`` fully matches."""
+    for m in matches:
+        yield None if m is None or skip.fullmatch(m.group()) else m
+
+
 def _match_census(
     matches: Iterable[re.Match[str] | None], policy: ScanPolicy, position: int, base: int
 ) -> DigitCensus:
     """``census_from_tokens`` over token matches: the same items, each
-    counted straight from its match (``_match_digit``), no record built."""
-    skips = policy.compiled_skips()
-    return count_digits(
-        (None if m is None or any(rx.fullmatch(m.group()) for rx in skips) else m
-         for m in matches),
-        position, base, _match_digit)
+    counted straight from its match (``_match_digit``), no record built.
+    Each skip pattern adds one layer; with none, the matches go straight
+    to the counting loop."""
+    for skip in policy.compiled_skips():
+        matches = _skipping(matches, skip)
+    return count_digits(matches, position, base, _match_digit)
 
 
 def census_from_text(
@@ -218,9 +228,14 @@ def census_from_text(
     base: int = 10,
     encoding: str = "utf-8",
 ) -> DigitCensus:
-    """One-stop scan: text in, digit census out."""
-    matches = _text_matches(data, encoding, policy.thousands_separators)
-    return _match_census((m for _, m in matches), policy, position, base)
+    """One-stop scan: text in, digit census out.
+
+    The pattern runs once over the whole text. A line break is neither
+    alphanumeric nor part of a token, so the text has the standalone
+    tokens of its lines (``scan_text``)."""
+    matches = token_pattern(policy.thousands_separators).finditer(_decode(data, encoding))
+    return _match_census((m for m in matches if m.group("alone") is not None),
+                         policy, position, base)
 
 
 def census_from_table(
@@ -233,7 +248,8 @@ def census_from_table(
 ) -> DigitCensus:
     """One-stop table read; every selected cell is an item of the census,
     and one that is not a numeric token counts as an exclusion."""
-    return _match_census((m for _, _, m in _table_items(data, fmt, policy, encoding)),
+    _, rows = _table_matches(data, fmt, policy, encoding)
+    return _match_census(chain.from_iterable(matches for _, matches in rows),
                          policy, position, base)
 
 

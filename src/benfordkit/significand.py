@@ -94,19 +94,37 @@ _GRAMMAR = r"""
     (?: [eE] (?P<exp>[+-]?\d+) )?
 """
 
+# The first significant digit, read where a token starts. ``lead`` is an
+# ASCII 1-9 reached over ASCII zeros and at most one point; ``zero`` is set
+# when every written digit is an ASCII 0. Any other token (Unicode digits, a
+# comma among the zeros, "0..5") sets neither and is read from its digits.
+# A sign is taken whole, not through "[+-]?", so neither test can backtrack
+# to start at the sign itself. No possessive quantifier or atomic group:
+# those need Python 3.11.
+_LEAD = r"""
+    (?= (?: [+-] | (?![+-]) )
+        (?: 0* \.? 0* (?P<lead>[1-9])
+          | (?: 0+ (?: \.0+ )? | \.0+ ) (?! \d | [.,]\d ) (?P<zero>) )? )
+"""
+
 # The text scanner on the same grammar. "Alphanumeric" is [^\W_], exactly
-# the characters str.isalnum accepts.
+# the characters str.isalnum accepts. The lead digit is read only in the
+# standalone branch: in the ``tok`` lookahead it would run at every text
+# position the grammar starts at.
 _SCANNER = r"""
     (?= (?P<tok> {grammar} ) )  # what search finds here; never re-entered
     (?! (?<=[^\W_]) [+-] )      # a sign alone touching a word: retry after it
-    (?: (?<![^\W_]) (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
-      | (?: [^\W_] | [.,+-] )+ )                     # else pass the run ("v2.0")
+    (?: (?<![^\W_]) {lead} (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
+      | (?: [^\W_] | [.,+-] )+ )                            # else pass the run ("v2.0")
 """
 
-# Both indexed by the separator setting.
-_TOKEN = tuple(re.compile(_GRAMMAR.format(integer=integer), re.VERBOSE)
-               for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
-_SCAN = tuple(re.compile(_SCANNER.format(grammar=p.pattern), re.VERBOSE) for p in _TOKEN)
+# All indexed by the separator setting. A grammar match (``_TOKEN``, a
+# standalone ``_SCAN`` match) carries the lead digit groups.
+_GRAMMARS = tuple(_GRAMMAR.format(integer=integer)
+                  for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
+_TOKEN = tuple(re.compile(_LEAD + grammar, re.VERBOSE) for grammar in _GRAMMARS)
+_SCAN = tuple(re.compile(_SCANNER.format(grammar=grammar, lead=_LEAD), re.VERBOSE)
+              for grammar in _GRAMMARS)
 
 
 def token_pattern(separators: bool = False) -> re.Pattern[str]:
@@ -336,8 +354,17 @@ def digit_at(value: ExactDecimal, position: int, base: int = 10) -> int:
 def _match_digit(m: re.Match[str], position: int, base: int) -> int:
     """``digit_at`` of the token a grammar match holds, at a position the
     caller has checked (``gof.count_digits`` checks it once per census).
-    Base 10 reads the written digits, so it builds no record and never
-    reads the exponent."""
+
+    The match's lead digit groups decide most tokens with no digit parsed:
+    ``zero`` raises ZeroValue in any base, and in base 10 ``lead`` is the
+    digit at position 1. Other base-10 tokens read their written digits
+    (``_decimal_significand``); no base-10 read builds a record or reads
+    the exponent. Other bases read the token's exact record."""
+    lead = m["lead"]
+    if lead is not None and position == 1 and base == 10:
+        return ord(lead) - 48  # an ASCII 1-9
+    if m["zero"] is not None:
+        raise ZeroValue("value is zero; no significant digit exists")
     if base != 10:
         return digit_at(_decimal_from_match(m), position, base)
     int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")

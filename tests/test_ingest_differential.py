@@ -17,10 +17,14 @@ st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
 # Zeros, words, empty and blank cells, comma-grouped numbers, four-digit
-# years for the skip pattern, Unicode digits (Arabic-Indic, fullwidth) and
-# numerics that are not decimal digits (superscript two, one half).
+# years for the skip pattern, Unicode digits (Arabic-Indic, fullwidth),
+# numerics that are not decimal digits (superscript two, one half), and
+# tokens a start-of-token lead digit read could misread: a sign before a
+# Unicode digit or zero, a comma or a second point among the zeros, and
+# zeros written without an integer part or a nonzero digit.
 _CELLS = ["0", "0.00", "-0e5", "N/A", "abc", "x1", "", " ", " 7 ", "2,300", "1,234,567",
-          "12,34", "1999", "-2.5E-3", ".5", "+7", "1e5x", "٣٣", "３.５", "²", "½"]
+          "12,34", "1999", "-2.5E-3", ".5", "+7", "1e5x", "٣٣", "３.５", "²", "½",
+          "+٣", "-٠", "0٣", "0,5", "0,005", "-0,005.5", "0..5", ".0e7", "00.000", "+.5"]
 _cell = st.one_of(
     st.sampled_from(_CELLS),
     st.integers(-10**9, 10**9).map(str),
@@ -30,11 +34,12 @@ _cell = st.one_of(
 _SKIPS = [(), (r"\d{4}",), (r"-.*", r"\d")]
 
 
-# The scanner's alphabet (`test_scan_differential`), with every line break
-# str.splitlines knows of that matters here: CRLF, vertical tab, NEL and
-# the line separator.
-_PIECES = (list("0123456789+-.,eE _axZ") + ["٣", "３", "²", "½", "Ⅷ", "é"]
-           + ["\n", "\r\n", "\x0b", "\x85", "\u2028"])
+# The scanner's alphabet (`test_scan_differential`) and an Arabic-Indic
+# zero, with every line break str.splitlines knows of: the text census
+# scans the whole text, the token records line by line.
+_PIECES = (list("0123456789+-.,eE _axZ") + ["٣", "٠", "３", "²", "½", "Ⅷ", "é"]
+           + ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"])
 
 
 @st.composite
