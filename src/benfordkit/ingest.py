@@ -9,12 +9,14 @@ decided in one place, the token pattern (``significand.token_pattern``). A
 table cell is a token when the token grammar matches all of it.
 
 The token records (``scan_text``, ``read_table``) and the censuses
-(``census_from_text``, ``census_from_table``) walk the same matches: the
-records run the pattern over each line, for line numbers, and the text
+(``census_from_text``, ``census_from_table``) match the same grammar: the
+records run the scanner over each line, for line numbers, and the text
 census once over the whole text. The censuses count each digit straight
-from its match, with no record built. In base 10 at position 1 the match
-carries the first significant digit, read by the pattern itself; other
-tokens are read off their written digits, the exponent never read.
+from its match, with no record built. Their patterns also capture the
+first significant digit where it follows only ASCII zeros and a point, so
+in base 10 at position 1 such a token needs no digit parsed; other tokens,
+zeros among them, are read off their written digits, the exponent never
+read.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from .errors import DomainError, EncodingError, FormatError, MissingColumn
 from .gof import DigitCensus, count_digits
-from .significand import _TOKEN, ExactDecimal, _decimal_from_match, _match_digit, token_pattern
+from .significand import (_LEAD_SCAN, _LEAD_TOKEN, _TOKEN, ExactDecimal, _decimal_from_match,
+                          _match_digit, token_pattern)
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,14 @@ def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
         raise FormatError(f"row {rowno + 1}: {exc}") from None
 
 
-def _table_matches(
+def _table_rows(
     data: str | bytes,
     fmt: str,
     policy: ScanPolicy,
     encoding: str,
-) -> tuple[list[int], Iterator[tuple[int, Iterator[re.Match[str] | None]]]]:
-    """The selected table columns, and for every row after the header its
-    row number and the token match of each selected cell, stripped of
-    surrounding space; the match is None for a cell that is not a token.
+) -> tuple[list[int], Iterator[tuple[int, list[str]]]]:
+    """The selected table columns, and every row after the header with its
+    row number.
 
     Row numbers count every record, the header included; empty records
     (blank lines) are skipped. Records may end in CR, LF or CRLF. Ragged
@@ -149,15 +150,14 @@ def _table_matches(
             if header.index(name) in selected:
                 raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))
-    cell_token = _TOKEN[policy.thousands_separators].fullmatch
 
-    def rows() -> Iterator[tuple[int, Iterator[re.Match[str] | None]]]:
+    def rows() -> Iterator[tuple[int, list[str]]]:
         for rowno, row in records:
             if len(row) != len(header):
                 raise FormatError(
                     f"row {rowno}: expected {len(header)} fields, got {len(row)}"
                 )
-            yield rowno, map(cell_token, [row[idx].strip() for idx in selected])
+            yield rowno, row
 
     return selected, rows()
 
@@ -170,12 +170,16 @@ def read_table(
 ) -> Iterator[NumberToken]:
     """Yield numeric tokens from the selected columns of a delimited file.
 
-    The first non-empty row is the header. Cells that are not numeric
-    tokens are skipped here; ``census_from_table`` counts them as exclusions.
+    The first non-empty row is the header. A cell is a token when the
+    token grammar matches all of it, stripped of surrounding space. Cells
+    that are not numeric tokens are skipped here; ``census_from_table``
+    counts them as exclusions.
     """
-    selected, rows = _table_matches(data, fmt, policy, encoding)
-    for rowno, matches in rows:
-        for idx, m in zip(selected, matches):
+    selected, rows = _table_rows(data, fmt, policy, encoding)
+    cell_token = _TOKEN[policy.thousands_separators].fullmatch
+    for rowno, row in rows:
+        for idx in selected:
+            m = cell_token(row[idx].strip())
             if m is not None:
                 yield NumberToken(value=_decimal_from_match(m), line=rowno,
                                   column=idx + 1, raw=m.group())
@@ -233,7 +237,7 @@ def census_from_text(
     The pattern runs once over the whole text. A line break is neither
     alphanumeric nor part of a token, so the text has the standalone
     tokens of its lines (``scan_text``)."""
-    matches = token_pattern(policy.thousands_separators).finditer(_decode(data, encoding))
+    matches = _LEAD_SCAN[policy.thousands_separators].finditer(_decode(data, encoding))
     return _match_census((m for m in matches if m.group("alone") is not None),
                          policy, position, base)
 
@@ -248,8 +252,9 @@ def census_from_table(
 ) -> DigitCensus:
     """One-stop table read; every selected cell is an item of the census,
     and one that is not a numeric token counts as an exclusion."""
-    _, rows = _table_matches(data, fmt, policy, encoding)
-    return _match_census(chain.from_iterable(matches for _, matches in rows),
+    selected, rows = _table_rows(data, fmt, policy, encoding)
+    cells = (row[idx].strip() for _, row in rows for idx in selected)
+    return _match_census(map(_LEAD_TOKEN[policy.thousands_separators].fullmatch, cells),
                          policy, position, base)
 
 

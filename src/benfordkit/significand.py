@@ -94,21 +94,15 @@ _GRAMMAR = r"""
     (?: [eE] (?P<exp>[+-]?\d+) )?
 """
 
-# The first significant digit, read where a token starts. ``lead`` is an
-# ASCII 1-9 reached over ASCII zeros and at most one point; ``zero`` is set
-# when every written digit is an ASCII 0. Any other token (Unicode digits, a
-# comma among the zeros, "0..5") sets neither and is read from its digits.
-# A sign is taken whole, not through "[+-]?", so neither test can backtrack
-# to start at the sign itself. No possessive quantifier or atomic group:
-# those need Python 3.11.
-_LEAD = r"""
-    (?= (?: [+-] | (?![+-]) )
-        (?: 0* \.? 0* (?P<lead>[1-9])
-          | (?: 0+ (?: \.0+ )? | \.0+ ) (?! \d | [.,]\d ) (?P<zero>) )? )
-"""
+# The first significant digit, read where a token starts: ``lead`` is an
+# ASCII 1-9 reached over ASCII zeros and at most one point. Any other token
+# (a zero, Unicode digits, a comma among the zeros) leaves it unset and is
+# read from its digits. No possessive quantifier or atomic group: those
+# need Python 3.11.
+_LEAD = r"(?= (?: [+-]? 0* \.? 0* (?P<lead>[1-9]) )? )"
 
 # The text scanner on the same grammar. "Alphanumeric" is [^\W_], exactly
-# the characters str.isalnum accepts. The lead digit is read only in the
+# the characters str.isalnum accepts. A lead digit is read only in the
 # standalone branch: in the ``tok`` lookahead it would run at every text
 # position the grammar starts at.
 _SCANNER = r"""
@@ -118,13 +112,22 @@ _SCANNER = r"""
       | (?: [^\W_] | [.,+-] )+ )                            # else pass the run ("v2.0")
 """
 
-# All indexed by the separator setting. A grammar match (``_TOKEN``, a
-# standalone ``_SCAN`` match) carries the lead digit groups.
+# All indexed by the separator setting. The records (``parse_token``, the
+# token readers) use the bare grammar and scanner; the censuses use the
+# ``_LEAD`` forms, whose matches carry the ``lead`` group.
 _GRAMMARS = tuple(_GRAMMAR.format(integer=integer)
                   for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
-_TOKEN = tuple(re.compile(_LEAD + grammar, re.VERBOSE) for grammar in _GRAMMARS)
-_SCAN = tuple(re.compile(_SCANNER.format(grammar=grammar, lead=_LEAD), re.VERBOSE)
-              for grammar in _GRAMMARS)
+
+
+def _compile(template: str, lead: str) -> tuple[re.Pattern[str], ...]:
+    return tuple(re.compile(template.format(grammar=grammar, lead=lead), re.VERBOSE)
+                 for grammar in _GRAMMARS)
+
+
+_TOKEN = _compile("{grammar}", "")
+_LEAD_TOKEN = _compile("{lead}{grammar}", _LEAD)
+_SCAN = _compile(_SCANNER, "")
+_LEAD_SCAN = _compile(_SCANNER, _LEAD)
 
 
 def token_pattern(separators: bool = False) -> re.Pattern[str]:
@@ -355,16 +358,14 @@ def _match_digit(m: re.Match[str], position: int, base: int) -> int:
     """``digit_at`` of the token a grammar match holds, at a position the
     caller has checked (``gof.count_digits`` checks it once per census).
 
-    The match's lead digit groups decide most tokens with no digit parsed:
-    ``zero`` raises ZeroValue in any base, and in base 10 ``lead`` is the
-    digit at position 1. Other base-10 tokens read their written digits
-    (``_decimal_significand``); no base-10 read builds a record or reads
-    the exponent. Other bases read the token's exact record."""
+    In base 10 at position 1 the match's ``lead`` group, when set, is the
+    digit, with no digit parsed. Other base-10 tokens, zeros among them,
+    read their written digits (``_decimal_significand``, which raises
+    ZeroValue on a zero); no base-10 read builds a record or reads the
+    exponent. Other bases read the token's exact record."""
     lead = m["lead"]
     if lead is not None and position == 1 and base == 10:
         return ord(lead) - 48  # an ASCII 1-9
-    if m["zero"] is not None:
-        raise ZeroValue("value is zero; no significant digit exists")
     if base != 10:
         return digit_at(_decimal_from_match(m), position, base)
     int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")
