@@ -10,10 +10,10 @@ distribution. Verdicts compare against the fixed 8-degree-of-freedom
 critical values; no chi-square CDF is involved.
 
 `testable` is the one rule for which censuses the tests apply to, and
-`compare_to_law` the one comparison of a census with the law. The tests sum
-its pairs with `math.fsum`; `tvd_benford` is the one d1. Which positions,
-bases and digits a census may have is `significand`'s rule; `digit_support`
-is re-exported from there.
+`compare_to_law` the one comparison of a census with the law. `full_report`
+runs all three tests on its pairs with `math.fsum`; `tvd_benford` is the
+one d1. Which positions, bases and digits a census may have is
+`significand`'s rule; `digit_support` is re-exported from there.
 """
 
 from __future__ import annotations
@@ -23,14 +23,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
 from .significand import ExactDecimal, digit_at, digit_slot, digit_support, parse_token
-
-if TYPE_CHECKING:
-    import numpy as np
 
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
@@ -43,9 +40,9 @@ _CHUNK = 1 << 16
 class DigitCensus:
     """Counts of one significant-digit position's values over a sample.
 
-    A value type: merging two censuses adds counts elementwise, and merge
-    order never matters, so partial censuses built concurrently pool into
-    the same result as a single pass.
+    A value type: merging two censuses adds counts and exclusions
+    elementwise, and merge order never matters, so the censuses of a
+    sample's parts pool into the census of the whole sample.
     """
 
     position: int
@@ -104,14 +101,6 @@ class DigitCensus:
     def count_of(self, digit: int) -> int:
         return self.counts[digit_slot(digit, self.position, self.base)]
 
-    def frequencies(self) -> np.ndarray:
-        """Observed frequencies; EmptyCensus if nothing was counted."""
-        import numpy as np
-
-        if not any(self.counts):
-            raise EmptyCensus("census has no counted values")
-        return np.asarray([observed for observed, _ in compare_to_law(self)])
-
     def merge(self, other: "DigitCensus") -> "DigitCensus":
         if (other.position, other.base) != (self.position, self.base):
             raise DomainError("cannot merge censuses of different position/base")
@@ -131,9 +120,11 @@ def _coerce(value: Value, separators: bool) -> ExactDecimal:
         return value
     if isinstance(value, str):
         return parse_token(value, separators=separators)
-    if isinstance(value, int):
-        return ExactDecimal.from_int(value)
-    return ExactDecimal.from_float(value)
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        return ExactDecimal.from_float(value)
+    return ExactDecimal.from_int(integer)
 
 
 def count_digits(
@@ -173,9 +164,10 @@ def build_census(
 ) -> DigitCensus:
     """Census of the ``position``-th significant digit across raw values.
 
-    Accepts exact decimals, ints, floats, or token strings. Zero values
-    have no significant digit and land in the exclusions tally. An empty
-    stream yields an empty census (statistics on it raise EmptyCensus).
+    Accepts exact decimals, integers and floats (numpy scalars too, so a
+    numpy array's items), or token strings. Zero values have no
+    significant digit and land in the exclusions tally. An empty stream
+    yields an empty census (statistics on it raise EmptyCensus).
     """
     return count_digits((_coerce(v, separators) for v in values), position, base)
 
@@ -197,16 +189,6 @@ def compare_to_law(census: DigitCensus) -> Iterator[tuple[float, Optional[float]
     return zip((count / size for count in census.counts), expected)
 
 
-def benford_frequencies() -> np.ndarray:
-    """Expected first-digit frequencies log10(1 + 1/n), n = 1..9."""
-    return law.marginal_distribution(1).as_array()
-
-
-def chi_square(census: DigitCensus) -> float:
-    """Chi-square statistic of the census against the first-digit law."""
-    return full_report(census).chi_square
-
-
 def tvd_benford(census: DigitCensus) -> float:
     """Total variation distance d1 between a first-digit census, in any
     base, and the first-digit law log_b(1 + 1/n) of that base."""
@@ -215,13 +197,6 @@ def tvd_benford(census: DigitCensus) -> float:
     if not any(census.counts):
         raise EmptyCensus("census has no counted values")
     return 0.5 * math.fsum(abs(o - e) for o, e in compare_to_law(census))
-
-
-def max_deviation(census: DigitCensus) -> tuple[float, int]:
-    """Largest per-digit |observed - expected| frequency and its digit; ties
-    go to the smaller digit."""
-    report = full_report(census)
-    return report.d_max, report.d_max_digit
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_slot, digit_support
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Deepest position with a marginal: the deepest that digit extraction
 # supports.
@@ -47,11 +44,6 @@ class DigitDistribution:
     def prob(self, digit: int) -> float:
         # The support ends at base - 1.
         return self.probabilities[digit_slot(digit, self.position, self.support[-1] + 1)]
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.probabilities)
 
 
 def first_digit_prob(d: int, base: int = 10) -> float:
@@ -162,10 +154,3 @@ def digit_correlation(i: int, j: int) -> float:
             for b in range(5)) - (mean_j - 4.5) * np.log1p(1.0 / m)
     d_i = (m // 10 ** (j - 1 - i)) % 10
     return math.fsum(((d_i - mean_i) * h).tolist()) / _LN10 / math.sqrt(var_i * var_j)
-
-
-def expected_counts(k: int, sample_size: int) -> np.ndarray:
-    """Expected digit counts at position k for a sample of the given size."""
-    if sample_size < 1:
-        raise DomainError(f"sample_size must be >= 1, got {sample_size}")
-    return marginal_distribution(k).as_array() * sample_size

@@ -89,12 +89,6 @@ def _timestamp() -> str:
         f"SOURCE_DATE_EPOCH must be whole seconds since 1970 within year 9999, got {epoch!r}")
 
 
-def verify_report(doc: ReportDocument) -> bool:
-    """Recompute the statistics from the document's own census and check
-    they match what the document states."""
-    return doc.gof is None or full_report(doc.census) == doc.gof
-
-
 def to_json_dict(doc: ReportDocument) -> dict:
     """The documented JSON schema; report-only documents carry nulls in the
     test fields."""

@@ -173,9 +173,15 @@ class ExactDecimal:
 
     @classmethod
     def from_float(cls, value: float) -> "ExactDecimal":
-        if not math.isfinite(value):
+        """The shortest decimal that reads back as the float ``value``
+        (numpy floats too). A value that no float holds exactly, such as
+        Decimal("0.1"), is MalformedToken: rounding could change its digits."""
+        number = float(value)
+        if not math.isfinite(number):
             raise MalformedToken(f"non-finite float {value!r}")
-        return parse_token(repr(value))
+        if number != value:
+            raise MalformedToken(f"not exactly a float: {value!r}")
+        return parse_token(repr(number))
 
     def __str__(self) -> str:
         dec = Decimal(
@@ -200,14 +206,11 @@ class SignificantDigits:
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
+        check_base(self.base)
         if not self.digits:
-            raise ValueError("at least one digit required")
-        if self.digits[0] == 0:
-            raise ValueError("first significant digit cannot be 0")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError("digits must lie in [0, base)")
+            raise DomainError("at least one digit required")
+        for position, digit in enumerate(self.digits, 1):
+            digit_slot(digit, position, self.base)
 
     @property
     def first(self) -> int:
@@ -243,12 +246,6 @@ def _decimal_from_match(m: re.Match[str]) -> ExactDecimal:
         return ExactDecimal(sign, written, len(int_part) + exp10)
     lead_zeros = len(written) - len(stripped)
     return ExactDecimal(sign, stripped, len(int_part) - lead_zeros + exp10)
-
-
-def format_token(value: ExactDecimal) -> str:
-    """Canonical token for an ExactDecimal; parse_token(format_token(x)) == x."""
-    sign = "-" if value.sign < 0 else ""
-    return f"{sign}.{value.digits}e{value.exponent}"
 
 
 def _exponent_below(bits: int, base: int) -> int:

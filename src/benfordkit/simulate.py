@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Context, Decimal
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -417,33 +417,6 @@ def run_ensemble(spec: ProcessSpec) -> list[tuple[int, DigitCensus]]:
     sums = _LogSums(spec)
     return [(t, _census(state, spec, t, sums))
             for t, state in _walk(spec, sums.advance)]
-
-
-def run_ensemble_partitioned(
-    spec: ProcessSpec, partitions: int
-) -> list[tuple[int, DigitCensus]]:
-    """Run the ensemble as independent partitions and merge the censuses.
-
-    Partition sub-seeds derive deterministically from the master seed, so
-    a given (spec, partitions) pair is reproducible; the draws differ from
-    the single-stream run, the merge contract does not.
-    """
-    if partitions < 1:
-        raise DomainError("partitions must be >= 1")
-    if partitions == 1:
-        return run_ensemble(spec)
-    children = np.random.SeedSequence(spec.seed).spawn(partitions)
-    share = [spec.walkers // partitions] * partitions
-    for i in range(spec.walkers % partitions):
-        share[i] += 1
-    merged: dict[int, DigitCensus] = {}
-    for child, walkers in zip(children, share):
-        if walkers == 0:
-            continue
-        sub = replace(spec, walkers=walkers, seed=int(child.generate_state(1)[0]))
-        for t, census in run_ensemble(sub):
-            merged[t] = merged[t].merge(census) if t in merged else census
-    return sorted(merged.items())
 
 
 def convergence_curve(spec: ProcessSpec) -> list[tuple[int, float]]:

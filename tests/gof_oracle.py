@@ -14,12 +14,14 @@ frequencies as text; each must give the same numbers and the same text.
 
 These are verbatim copies, except that `_frequencies(census)` stands where
 they called `census.frequencies()`; it is a verbatim copy of that method's
-body. `full_report` no longer passes the sample size and the two frequency
-tuples, which `GofReport` copied from the census and the law and has
-dropped. `_histogram` is the row loop that built the document, with
-`_expected_frequencies` as its law, and the renderers read its rows where
-they read `doc.histogram`. The census, report and document types are the
-package's.
+body. `np.asarray(...probabilities)` stands where they called
+`DigitDistribution.as_array()`, which was that method's body; the package
+has deleted both methods. `full_report` no longer passes the sample size
+and the two frequency tuples, which `GofReport` copied from the census and
+the law and has dropped. `_histogram` is the row loop that built the
+document, with `_expected_frequencies` as its law, and the renderers read
+its rows where they read `doc.histogram`. The census, report and document
+types are the package's.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _check_testable(census: DigitCensus) -> np.ndarray:
 
 def benford_frequencies() -> np.ndarray:
     """Expected first-digit frequencies log10(1 + 1/n), n = 1..9."""
-    return law.first_digit_distribution(10).as_array()
+    return np.asarray(law.first_digit_distribution(10).probabilities)
 
 
 def chi_square(census: DigitCensus) -> float:
@@ -79,7 +81,7 @@ def tvd_benford(census: DigitCensus) -> float:
         raise DomainError(
             f"d1 needs a first-digit census, got position {census.position}"
         )
-    expected = law.first_digit_distribution(census.base).as_array()
+    expected = np.asarray(law.first_digit_distribution(census.base).probabilities)
     deviations = np.abs(_frequencies(census) - expected)
     return 0.5 * math.fsum(deviations.tolist())
 

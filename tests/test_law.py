@@ -1,14 +1,12 @@
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from benfordkit.errors import DomainError
 from benfordkit.law import (
     MAX_POSITION,
     digit_correlation,
-    expected_counts,
     first_digit_distribution,
     first_digit_prob,
     joint_prob,
@@ -266,26 +264,6 @@ class TestCorrelation:
     def test_domain(self, i, j):
         with pytest.raises(DomainError):
             digit_correlation(i, j)
-
-
-class TestExpectedCounts:
-    def test_product_oracle(self):
-        counts = expected_counts(1, 183)
-        assert counts[0] == pytest.approx(183 * math.log10(2), abs=1e-9)
-        assert counts[0] == pytest.approx(55.09, abs=0.01)
-
-    def test_unit_sample_is_probability_vector(self):
-        np.testing.assert_allclose(
-            expected_counts(1, 1), marginal_distribution(1).as_array(), atol=0
-        )
-
-    @pytest.mark.parametrize("k,size", [(1, 183), (2, 1000), (4, 30000)])
-    def test_sums_to_sample_size(self, k, size):
-        assert abs(expected_counts(k, size).sum() - size) < 1e-9
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            expected_counts(1, 0)
 
 
 class TestDeepPosition:

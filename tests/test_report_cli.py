@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import benfordkit
 from benfordkit import cli, law, report, sequences
 from benfordkit.datasets import constants_sample_path
-from benfordkit.gof import DigitCensus
+from benfordkit.gof import DigitCensus, full_report
 from benfordkit.sequences import prime_values
 from benfordkit.significand import MAX_BASE
 
@@ -30,7 +31,7 @@ class TestReportDocument:
     def test_gof_populated_and_verifiable(self, table4_doc):
         assert table4_doc.gof is not None
         assert table4_doc.gof.chi_square == pytest.approx(5.206, abs=0.01)
-        assert report.verify_report(table4_doc)
+        assert full_report(table4_doc.census) == table4_doc.gof
 
     def test_json_schema_keys(self, table4_doc):
         doc = report.to_json_dict(table4_doc)
@@ -674,6 +675,24 @@ class TestExpectedCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "digit,probability,expected_count"
         assert float(lines[1].split(",")[2]) == pytest.approx(55.09, abs=0.01)
+
+    # The expected-count column is the one place p·n is computed.
+    @pytest.mark.parametrize("k,size", [(1, 183), (2, 1000), (4, 30000)])
+    def test_expected_counts_sum_to_sample_size(self, capsys, k, size):
+        assert cli.main(["expected", "--table", "probs", "--k", str(k),
+                         "--sample-size", str(size)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        assert len(rows) == (9 if k == 1 else 10)
+        assert math.fsum(float(c) for _, _, c in rows) == pytest.approx(size, rel=1e-10)
+
+    @pytest.mark.parametrize("k,base", [(1, 10), (2, 10), (1, 16)])
+    def test_unit_sample_size_repeats_the_probabilities(self, capsys, k, base):
+        assert cli.main(["expected", "--table", "probs", "--k", str(k), "--base",
+                         str(base), "--sample-size", "1"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.split()[1:]]
+        dist = law.marginal_distribution(k, base)
+        assert [int(d) for d, _, _ in rows] == list(dist.support)
+        assert all(p == c for _, p, c in rows)
 
     def test_moments_range_matches_library(self, capsys):
         assert cli.main(["expected", "--table", "moments", "--k", "1..7"]) == 0

@@ -3,6 +3,7 @@ import random
 import re
 from collections import deque
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,6 @@ from benfordkit.significand import (
     extract_digits_bigint,
     extract_digits_rational,
     first_digit,
-    format_token,
     parse_token,
 )
 
@@ -91,7 +91,7 @@ class TestFormatRoundTrip:
     def test_examples(self):
         for text in ["0.150", "129", "-4.2e7", ".5", "0.00"]:
             x = parse_token(text)
-            assert parse_token(format_token(x)) == x
+            assert parse_token(str(x)) == x
 
     def test_random_round_trip(self):
         rng = random.Random(7)
@@ -105,7 +105,7 @@ class TestFormatRoundTrip:
                 digits=digits,
                 exponent=rng.randrange(-60, 60),
             )
-            assert parse_token(format_token(x)) == x
+            assert parse_token(str(x)) == x
 
     @pytest.mark.parametrize("digits", ["\u00b2", "1\u00b23", "\u2460", "", "1a", "-1"])
     def test_digits_must_be_decimal(self, digits):
@@ -124,9 +124,9 @@ class TestFormatRoundTrip:
         # Leading zeros normalize away on reparse; the value is preserved
         # and one parse/format pass reaches a fixed point.
         x = ExactDecimal(sign=1, digits="0123", exponent=5)
-        y = parse_token(format_token(x))
+        y = parse_token(str(x))
         assert y.as_fraction() == x.as_fraction()
-        assert parse_token(format_token(y)) == y
+        assert parse_token(str(y)) == y
 
 
 class TestExtractDigits:
@@ -371,14 +371,13 @@ class TestConcatenationConsistency:
 
 class TestSignificantDigitsType:
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            SignificantDigits(base=10, digits=(0, 1), exponent=0)
-        with pytest.raises(ValueError):
-            SignificantDigits(base=10, digits=(10,), exponent=0)
-        with pytest.raises(ValueError):
-            SignificantDigits(base=1, digits=(1,), exponent=0)
-        with pytest.raises(ValueError):
-            SignificantDigits(base=10, digits=(), exponent=0)
+        # The base rule and the digit rule of significand, each digit at its
+        # position; 1.5 and 2.0 are not digits, and 10**6 is past MAX_BASE.
+        for base, digits in [(10, (0, 1)), (10, (10,)), (1, (1,)), (10, ()),
+                             (10, (1.5, 2.0)), (10**6, (1,))]:
+            with pytest.raises(DomainError):
+                SignificantDigits(base=base, digits=digits, exponent=0)
+        assert SignificantDigits(MAX_BASE, (MAX_BASE - 1, 0), 3).first == MAX_BASE - 1
 
 
 class TestHelpers:
@@ -401,8 +400,12 @@ class TestHelpers:
     def test_from_float_reads_shortest_decimal(self):
         assert ExactDecimal.from_float(0.1).as_fraction() == Fraction(1, 10)
         assert ExactDecimal.from_float(-2.5).as_fraction() == Fraction(-5, 2)
-        with pytest.raises(MalformedToken):
-            ExactDecimal.from_float(float("inf"))
+        assert ExactDecimal.from_float(np.float32(0.1)) == ExactDecimal.from_float(
+            float(np.float32(0.1)))
+        # A float would round these; 0.99999999999999999 would read as 1.
+        for value in (float("inf"), Decimal("0.99999999999999999"), Fraction(1, 3)):
+            with pytest.raises(MalformedToken):
+                ExactDecimal.from_float(value)
 
     def test_from_int(self):
         assert ExactDecimal.from_int(-129).as_fraction() == -129

@@ -20,7 +20,6 @@ from benfordkit.simulate import (
     iterate_states,
     recorded_steps,
     run_ensemble,
-    run_ensemble_partitioned,
 )
 
 
@@ -401,25 +400,6 @@ class TestHugeStates:
         census = _census(state, spec, 1, _LogSums(spec))
         assert census.sample_size == 2
         assert census.exclusions == 4
-
-
-class TestPartitioned:
-    def test_partitioned_run_is_deterministic_and_merges(self):
-        spec = mult_spec(steps=12, walkers=101, seed=8)
-        a = run_ensemble_partitioned(spec, 4)
-        b = run_ensemble_partitioned(spec, 4)
-        assert a == b
-        assert [t for t, _ in a] == recorded_steps(spec)
-        for _, census in a:
-            assert census.sample_size == 101
-
-    def test_single_partition_matches_plain_run(self):
-        spec = mult_spec(steps=6, walkers=40, seed=2)
-        assert run_ensemble_partitioned(spec, 1) == run_ensemble(spec)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            run_ensemble_partitioned(mult_spec(), 0)
 
 
 class TestSerialization:
