@@ -1,8 +1,9 @@
-"""Exact generators for the classic digit-law test series.
+"""Generators for the classic digit-law test series.
 
-All series are produced with exact integer or rational arithmetic and
-emitted lazily as first-significant-digit streams, so censuses over tens
-of thousands of terms never materialize the underlying big integers.
+Every value stream is exact integer or rational arithmetic. Each digit
+stream gives the exact first significant digits, emitted lazily, so
+censuses over tens of thousands of terms never materialize the underlying
+big integers.
 
 The geometric series alpha**n is the delicate one: terms can sit next to
 digit boundaries d * base**k, where any floating-point shortcut can
@@ -13,27 +14,38 @@ base; a digit is emitted only once both interval endpoints agree on it,
 and the rare uncertified term falls back to exact big-rational powering.
 
 The integer series are read by their structure. The primes come from one
-sieve as an int64 array, exact because they stay below PRIME_BOUND_CAP;
-their digits are the array divided by the largest power of the base at
-most each prime, so no prime becomes a Python integer. Pascal's rows are
-built and read half at a time and emitted mirrored, C(n, r) = C(n, n - r).
-Recursions, factorials and n**k go through ``significand._first_digits``,
-one running power of the base: a term one digit away steps it, a term
-several digits up (most factorials) re-seeds it from the power it carries.
+sieve over the odd numbers as an int64 array, exact because they stay
+below PRIME_BOUND_CAP; their digits are the array divided by the largest
+power of the base at most each prime, so no prime becomes a Python
+integer. Pascal's digits come from one table of log_b(k!) in floating
+point: log_b C(n, r) is read for a whole block of half-row terms in numpy,
+and a digit is kept only when a certified error bound puts the term's
+fractional part inside one digit's interval. The few terms the bound
+cannot decide (every C(n, 0), exact hits such as C(5, 2) = 10) are read
+exactly from the row's integer prefix. Rows are emitted mirrored,
+C(n, r) = C(n, n - r). Recursions, factorials and n**k go through
+``significand._first_digits``, one running power of the base: a term one
+digit away steps it, a term several digits up (most factorials) re-seeds
+it from the power it carries.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import DomainError
 from .significand import _exponent_below, _first_digits, check_base, extract_digits_rational
 
 PRIME_BOUND_CAP = 10**8
-_PRIME_CHUNK = 2**16
+# Numpy work is done, and turned into Python ints, at most this many items at
+# a time: a Python int in a list costs about 36 bytes, so the 5.8 million
+# primes below the cap would take 200 MB at once.
+_CHUNK = 2**16
 PRODUCT_DIGITS = 60
 
 # Default configuration for the pooled-recursion conformance suite: seven
@@ -61,31 +73,36 @@ def fibonacci_digits(a1: int, a2: int, n_terms: int, base: int = 10) -> Iterator
     return _first_digits(fibonacci_values(a1, a2, n_terms), base)
 
 
-def _sieve(bound: int):
-    """The primes strictly below ``bound`` as an int64 array, by sieve of
-    Eratosthenes. Every one is below PRIME_BOUND_CAP, so int64 is exact."""
+def _check_bound(bound: int) -> None:
     if bound < 2:
         raise DomainError("bound must be >= 2")
     if bound > PRIME_BOUND_CAP:
         raise DomainError(f"bound capped at {PRIME_BOUND_CAP}")
+
+
+def _sieve(bound: int):
+    """The primes strictly below ``bound`` as an int64 array, by sieve of
+    Eratosthenes over the odd numbers (flag i stands for 2i + 1), with 2
+    prepended. Every one is below PRIME_BOUND_CAP, so int64 is exact."""
     import numpy as np
 
-    flags = np.ones(bound, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(bound - 1) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    flags = np.ones(bound // 2, dtype=bool)
+    flags[0] = False
+    for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    odd = 2 * np.flatnonzero(flags).astype(np.int64) + 1
+    return np.concatenate(([2], odd)) if bound > 2 else odd
 
 
 def _chunks(array) -> Iterator:
-    # A Python int in a list costs about 36 bytes, so the 5.8 million primes
-    # below the cap would take 200 MB at once; a slice at a time bounds that.
-    return (array[i : i + _PRIME_CHUNK] for i in range(0, len(array), _PRIME_CHUNK))
+    return (array[i : i + _CHUNK] for i in range(0, len(array), _CHUNK))
 
 
 def prime_values(bound: int) -> Iterator[int]:
     """All primes strictly below ``bound``, by sieve of Eratosthenes."""
+    _check_bound(bound)
     for chunk in _chunks(_sieve(bound)):
         yield from chunk.tolist()
 
@@ -93,10 +110,11 @@ def prime_values(bound: int) -> Iterator[int]:
 def prime_digits(bound: int, base: int = 10) -> Iterator[int]:
     """First digits of the primes below ``bound``, read off the sieve's array:
     each prime divided by the largest power of the base at most it, in int64."""
+    _check_bound(bound)
+    check_base(base)
     import numpy as np
 
     primes = _sieve(bound)
-    check_base(base)
     powers = [1]
     while powers[-1] * base < bound:
         powers.append(powers[-1] * base)
@@ -133,16 +151,14 @@ def n_power_digits(k: int, n_max: int, base: int = 10) -> Iterator[int]:
     return _first_digits(n_power_values(k, n_max), base)
 
 
-def _pascal_halves(rows: int) -> Iterator[tuple[int, list[int]]]:
-    """(n, [C(n, 0), ..., C(n, n // 2)]) for n < rows: each row's first half."""
-    if rows < 1:
-        raise DomainError("rows must be >= 1")
-    for n in range(rows):
-        c, half = 1, [1]
-        for r in range(n // 2):
-            c = c * (n - r) // (r + 1)
-            half.append(c)
-        yield n, half
+def _pascal_prefix(n: int, m: int) -> list[int]:
+    """[C(n, 0), ..., C(n, m)], each term exactly from the last:
+    C(n, r + 1) = C(n, r) * (n - r) // (r + 1)."""
+    c, prefix = 1, [1]
+    for r in range(m):
+        c = c * (n - r) // (r + 1)
+        prefix.append(c)
+    return prefix
 
 
 def _mirrored(half: list, n: int) -> list:
@@ -153,14 +169,91 @@ def _mirrored(half: list, n: int) -> list:
 
 def pascal_values(rows: int) -> Iterator[int]:
     """Binomial coefficients C(n, r) for n < rows, rows read left to right."""
-    for n, half in _pascal_halves(rows):
-        yield from _mirrored(half, n)
+    if rows < 1:
+        raise DomainError("rows must be >= 1")
+    for n in range(rows):
+        yield from _mirrored(_pascal_prefix(n, n // 2), n)
+
+
+# Largest error of the platform's log, in units in the last place, that the
+# Pascal digit bound allows for (correctly rounded would be 0.5).
+_LOG_ULPS = 4
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def pascal_digits(rows: int, base: int = 10) -> Iterator[int]:
-    """First digits of ``pascal_values``, each row's first half read and mirrored."""
-    for n, half in _pascal_halves(rows):
-        yield from _mirrored(list(_first_digits(half, base)), n)
+    """First digits of ``pascal_values``, each row's first half read and mirrored.
+    Both arguments are checked at the first ``next``, the row count first."""
+    # Whole rows joined in C, not a generator resumed for each digit: that
+    # took 1.5 to 2 times as long over 1000 rows.
+    return chain.from_iterable(_pascal_digit_rows(rows, base))
+
+
+def _pascal_digit_rows(rows: int, base: int) -> Iterator[list[int]]:
+    """The first digits of Pascal's rows n < rows, one list a row.
+
+    Each half-row term C(n, r), r <= n // 2, is read in floating point, in
+    blocks of 2**16: x = F[n] - F[r] - F[n - r], F[k] = log_b(k!) the running
+    sum of ln(j) / ln(b). Its digit d, log_b(d) <= frac(x) < log_b(d + 1), is
+    kept when frac(x) is more than E from both. The other terms, among them
+    every C(n, 0) and exact hits such as C(5, 2) = 10, are read from the
+    row's exact prefix, built once up to the last of them.
+
+    E bounds the error of those two gaps (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, ch. 2-4). Take u = 2**-53,
+    T = F[rows - 1] and log within c = _LOG_ULPS ulps, a relative 2cu. Each
+    ln(j) / ln(b) is then within (4c + 2)u of itself, and recursive summation
+    adds gamma(k - 1), about (k - 1)u, of the sum: every F[k] is within
+    (rows + 4c + 2)uT. The two subtractions add uT each, so x is within
+    (3 rows + 12c + 8)uT; frac(x) is exact (Sterbenz). Each boundary
+    log_b(d) <= 1 is within (4c + 2)u and the gap's subtraction adds u.
+    E = 2u((3 rows + 12c + 8)T + 4c + 3), twice the sum, also covers the
+    second-order terms while rows * u < 1/2.
+    """
+    if rows < 1:
+        raise DomainError("rows must be >= 1")
+    check_base(base)
+    import numpy as np
+
+    logs = np.log(np.arange(1, base + 1, dtype=np.float64))
+    bounds = logs / logs[-1]  # log_b(1) = 0, ..., log_b(b) = 1
+    table = np.zeros(rows)
+    np.cumsum(np.log(np.arange(1, rows, dtype=np.float64)) / logs[-1], out=table[1:])
+    c = _LOG_ULPS
+    tolerance = 2 * _UNIT_ROUNDOFF * ((3 * rows + 12 * c + 8) * table[-1] + 4 * c + 3)
+    # starts[n]: the place of C(n, 0) among the half-row terms, read row by row.
+    starts = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.arange(rows) // 2 + 1, out=starts[1:])
+    row_starts = starts.tolist()
+    pending: list[int] = []  # digits from row n's start on; 0 for a term read exactly
+    exact: list[int] = []  # places of the terms read exactly, not yet emitted
+    n = 0
+    for first in range(0, row_starts[-1], _CHUNK):
+        place = np.arange(first, min(first + _CHUNK, row_starts[-1]))
+        row = np.searchsorted(starts, place, "right") - 1
+        r = place - starts[row]
+        x = table[row] - table[r] - table[row - r]
+        frac = x - np.floor(x)
+        # frac < 1 while E < log_b(2); the clip keeps bounds[digit] in range.
+        digit = np.minimum(np.searchsorted(bounds, frac, "right"), base - 1)
+        sure = np.minimum(frac - bounds[digit - 1], bounds[digit] - frac) > tolerance
+        pending += np.where(sure, digit, 0).tolist()
+        exact += (first + np.flatnonzero(~sure)).tolist()
+        end, at = first + len(place), 0
+        while n < rows and row_starts[n + 1] <= end:
+            offset, stop = row_starts[n], row_starts[n + 1]
+            half = pending[at : at + stop - offset]
+            k = bisect.bisect_left(exact, stop)
+            if k:
+                places = [p - offset for p in exact[:k]]
+                prefix = _pascal_prefix(n, places[-1])
+                for p, d in zip(places, _first_digits([prefix[p] for p in places], base)):
+                    half[p] = d
+                del exact[:k]
+            at += len(half)
+            yield _mirrored(half, n)
+            n += 1
+        del pending[:at]
 
 
 AlphaLike = Union[Fraction, int, str, float]

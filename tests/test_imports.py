@@ -137,6 +137,7 @@ def test_import_loads_neither(module):
     # Every walker of this run is flagged and resolved exactly.
     (["simulate", "--walkers", "20", "--steps", "3", "--noise", "constant:10"], " numpy"),
     (["generate", "primes", "--below", "100", "--census"], " numpy"),
+    (["generate", "pascal", "--rows", "50", "--census"], " numpy"),
     (["expected", "--table", "corr"], " numpy mpmath"),
     (["analyze", "prose.txt", "--position", "2"], " mpmath"),
 ])

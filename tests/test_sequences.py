@@ -75,6 +75,16 @@ class TestPrimes:
         with pytest.raises(DomainError):
             list(prime_values(PRIME_BOUND_CAP + 1))
 
+    def test_base_checked_before_sieving(self, monkeypatch):
+        def sieve(bound):
+            raise AssertionError("sieved before the base was checked")
+
+        monkeypatch.setattr(sequences, "_sieve", sieve)
+        with pytest.raises(DomainError, match="base"):
+            next(prime_digits(PRIME_BOUND_CAP, 1))
+        with pytest.raises(DomainError, match="bound"):
+            next(prime_digits(1, 1))
+
     def test_primality_oracle(self):
         primes = set(prime_values(500))
         for n in range(2, 500):

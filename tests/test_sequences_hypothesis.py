@@ -3,9 +3,13 @@ big-rational extraction, over bases 2-64: the certified alpha**n stream on
 alphas on, next to and far from powers of the base, and every integer
 series read by the running-power reader. Each series read by its structure
 has its own: the running-power reader over jumps of up to 400 digits, the
-mirrored Pascal rows against ``math.comb``, and the sieve's int64 read of
-the primes against the running-power reader in bases up to MAX_BASE."""
+certified float read of Pascal's rows against ``math.comb`` (and, past a
+few hundred rows, against rows built by the additive rule) in bases up to
+MAX_BASE, the odd-only sieve against a sieve over all integers, and the
+sieve's int64 read of the primes against the running-power reader in bases
+up to MAX_BASE."""
 
+import bisect
 import math
 from fractions import Fraction
 from itertools import islice
@@ -13,7 +17,8 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from benfordkit.errors import ZeroValue
+from benfordkit import sequences
+from benfordkit.errors import DomainError, ZeroValue
 from benfordkit.sequences import (
     SequenceSpec, alpha_power_digits, pascal_digits, prime_digits, prime_values)
 from benfordkit.significand import MAX_BASE, _first_digits, extract_digits_rational
@@ -143,13 +148,30 @@ class TestFirstDigitsDifferential:
 @st.composite
 def _pascal_cases(draw):
     """(rows, base): up to 200 rows, odd and even counts, some at or next
-    to a power of the base, so C(n, 1) = n sits on one."""
-    base = draw(st.integers(2, 64))
+    to a power of the base, so C(n, 1) = n sits on one. Bases past 64 have
+    the closest digit boundaries: log_b(b) - log_b(b - 1) is about
+    1 / (b ln b)."""
+    base = draw(st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE)))
     rows = draw(st.integers(1, 200))
-    if draw(st.booleans()):
+    if base < 200 and draw(st.booleans()):
         k = draw(st.integers(1, max(k for k in range(1, 8) if base**k < 200)))
         rows = base**k + draw(st.sampled_from((-1, 0, 1)))
     return rows, base
+
+
+def _additive_rule_digits(rows: int, base: int) -> list[int]:
+    """First digits of Pascal's rows n < rows, read left to right: each row
+    from the last by C(n, r) = C(n - 1, r - 1) + C(n - 1, r), each digit the
+    term divided by the largest power of the base at most it."""
+    powers = [1]
+    while powers[-1].bit_length() <= rows:
+        powers.append(powers[-1] * base)
+    digits, row = [], [1]
+    for n in range(rows):
+        if n:
+            row = [1, *map(sum, zip(row, row[1:])), 1]
+        digits += [c // powers[bisect.bisect_right(powers, c) - 1] for c in row]
+    return digits
 
 
 class TestPascalDifferential:
@@ -159,10 +181,46 @@ class TestPascalDifferential:
     @example((2, 10))
     @example((200, 2))
     @example((199, 64))
+    # Exact hits past r = 1, on a boundary d * base**k: C(5, 2) = 10,
+    # C(6, 3) = 20, C(8, 4) = 70, C(25, 2) = 300 and C(9, 2) = 6**2.
+    @example((6, 10))
+    @example((7, 10))
+    @example((9, 10))
+    @example((26, 10))
+    @example((10, 6))
+    @example((200, MAX_BASE))
     def test_rows_in_order_match_comb(self, case):
         rows, base = case
         assert list(pascal_digits(rows, base)) == [
             _first(math.comb(n, r), base) for n in range(rows) for r in range(n + 1)]
+
+    @settings(max_examples=2, deadline=None)
+    @given(st.integers(300, 1500), st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE)))
+    # C(676, 2) = 54 * 65**2 is an exact hit.
+    @example(677, 65)
+    @example(1500, 65)
+    @example(1500, MAX_BASE)
+    def test_long_rows_match_additive_rule(self, rows, base):
+        assert list(pascal_digits(rows, base)) == _additive_rule_digits(rows, base)
+
+    def test_exact_reads_are_rare(self, monkeypatch):
+        """1000 rows in base 10: at most 1% of the terms are read exactly."""
+        exact = []
+
+        def counted(values, base):
+            exact.extend(values)
+            return _first_digits(values, base)
+
+        monkeypatch.setattr(sequences, "_first_digits", counted)
+        terms = sum(1 for _ in pascal_digits(1000, 10))
+        assert terms == 1000 * 1001 // 2
+        assert 0 < len(exact) <= terms // 100
+
+    @pytest.mark.parametrize("rows, base, message", [(0, 1, "rows"), (5, 1, "base")])
+    def test_rows_then_base_checked_at_first_next(self, rows, base, message):
+        stream = pascal_digits(rows, base)
+        with pytest.raises(DomainError, match=message):
+            next(stream)
 
 
 # Largest sieve bound a prime example may draw; it keeps one to a few
@@ -192,3 +250,30 @@ class TestSieveDigitsDifferential:
     def test_matches_running_power_reader(self, case):
         below, base = case
         assert list(prime_digits(below, base)) == list(_first_digits(prime_values(below), base))
+
+
+def _plain_sieve(bound: int) -> list[int]:
+    flags = [True] * bound
+    flags[:2] = [False, False]
+    for p in range(2, math.isqrt(bound - 1) + 1):
+        if flags[p]:
+            flags[p * p :: p] = [False] * len(range(p * p, bound, p))
+    return [n for n in range(bound) if flags[n]]
+
+
+class TestSieveDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 20000))
+    # 2 and 3 give [] and [2]; p**2 and p**2 + 1 for odd p put p**2 just
+    # outside and just inside the range, where the odd-only sieve starts.
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(9)
+    @example(10)
+    @example(25)
+    @example(26)
+    @example(49)
+    @example(121)
+    def test_matches_sieve_over_all_integers(self, bound):
+        assert list(prime_values(bound)) == _plain_sieve(bound)
