@@ -27,7 +27,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import law
 from .errors import DomainError, EmptyCensus, ZeroValue
-from .significand import ExactDecimal, digit_at, digit_slot, digit_support, parse_token
+from .significand import (ExactDecimal, _lowest_digit, check_base, check_position,
+                          digit_at, digit_slot, digit_support, parse_token)
 
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
@@ -51,10 +52,12 @@ class DigitCensus:
     exclusions: int = 0
 
     def __post_init__(self) -> None:
-        support = digit_support(self.position, self.base)
-        if len(self.counts) != len(support):
+        check_base(self.base)
+        check_position(self.position)
+        size = self.base - _lowest_digit(self.position)
+        if len(self.counts) != size:
             raise ValueError(
-                f"counts must have {len(support)} entries for position "
+                f"counts must have {size} entries for position "
                 f"{self.position} base {self.base}, got {len(self.counts)}"
             )
         if min(self.counts) < 0:

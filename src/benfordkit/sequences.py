@@ -18,9 +18,9 @@ sieve over the odd numbers as an int64 array, exact because they stay
 below PRIME_BOUND_CAP; their digits are the array divided by the largest
 power of the base at most each prime, so no prime becomes a Python
 integer. Pascal's digits come from one table of log_b(k!) in floating
-point: log_b C(n, r) is read for a whole block of half-row terms in numpy,
-and a digit is kept only when a certified error bound puts the term's
-fractional part inside one digit's interval. The few terms the bound
+point: ``significand._log_digits`` reads log_b C(n, r) for a whole block of
+half-row terms and keeps a digit only when a certified error bound puts the
+term's fractional part inside one digit's interval. The few terms the bound
 cannot decide (every C(n, 0), exact hits such as C(5, 2) = 10) are read
 exactly from the row's integer prefix. Rows are emitted mirrored,
 C(n, r) = C(n, n - r). Recursions, factorials and n**k go through
@@ -39,7 +39,8 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import DomainError
-from .significand import _exponent_below, _first_digits, check_base, extract_digits_rational
+from .significand import (
+    _exponent_below, _first_digits, _log_digits, check_base, extract_digits_rational)
 
 PRIME_BOUND_CAP = 10**8
 # Numpy work is done, and turned into Python ints, at most this many items at
@@ -192,33 +193,31 @@ def pascal_digits(rows: int, base: int = 10) -> Iterator[int]:
 def _pascal_digit_rows(rows: int, base: int) -> Iterator[list[int]]:
     """The first digits of Pascal's rows n < rows, one list a row.
 
-    Each half-row term C(n, r), r <= n // 2, is read in floating point, in
-    blocks of 2**16: x = F[n] - F[r] - F[n - r], F[k] = log_b(k!) the running
-    sum of ln(j) / ln(b). Its digit d, log_b(d) <= frac(x) < log_b(d + 1), is
-    kept when frac(x) is more than E from both. The other terms, among them
-    every C(n, 0) and exact hits such as C(5, 2) = 10, are read from the
-    row's exact prefix, built once up to the last of them.
+    Each half-row term C(n, r), r <= n // 2, is read by ``_log_digits``
+    under the bound E, in blocks of 2**16, at x = F[n] - F[r] - F[n - r],
+    F[k] = log_b(k!) the running sum of ln(j) / ln(b). The terms it leaves
+    unsure, among them every C(n, 0) and exact hits such as C(5, 2) = 10,
+    are read from the row's exact prefix, built once up to the last of them.
 
-    E bounds the error of those two gaps (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., 2002, ch. 2-4). Take u = 2**-53,
-    T = F[rows - 1] and log within c = _LOG_ULPS ulps, a relative 2cu. Each
-    ln(j) / ln(b) is then within (4c + 2)u of itself, and recursive summation
-    adds gamma(k - 1), about (k - 1)u, of the sum: every F[k] is within
-    (rows + 4c + 2)uT. The two subtractions add uT each, so x is within
-    (3 rows + 12c + 8)uT; frac(x) is exact (Sterbenz). Each boundary
-    log_b(d) <= 1 is within (4c + 2)u and the gap's subtraction adds u.
-    E = 2u((3 rows + 12c + 8)T + 4c + 3), twice the sum, also covers the
-    second-order terms while rows * u < 1/2.
+    E bounds the error of the gaps from frac(x) to its digit's two
+    boundaries (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 2-4). Take u = 2**-53, T = F[rows - 1] and log within
+    c = _LOG_ULPS ulps, a relative 2cu. Each ln(j) / ln(b) is then within
+    (4c + 2)u of itself, and recursive summation adds gamma(k - 1), about
+    (k - 1)u, of the sum: every F[k] is within (rows + 4c + 2)uT. The two
+    subtractions add uT each, so x is within (3 rows + 12c + 8)uT; frac(x)
+    is exact (Sterbenz). Each boundary log_b(d) <= 1 is within (4c + 2)u and
+    the gap's subtraction adds u. E = 2u((3 rows + 12c + 8)T + 4c + 3),
+    twice the sum, also covers the second-order terms while rows * u < 1/2,
+    so the reader's test, gap >= E, is sound.
     """
     if rows < 1:
         raise DomainError("rows must be >= 1")
     check_base(base)
     import numpy as np
 
-    logs = np.log(np.arange(1, base + 1, dtype=np.float64))
-    bounds = logs / logs[-1]  # log_b(1) = 0, ..., log_b(b) = 1
     table = np.zeros(rows)
-    np.cumsum(np.log(np.arange(1, rows, dtype=np.float64)) / logs[-1], out=table[1:])
+    np.cumsum(np.log(np.arange(1, rows, dtype=np.float64)) / math.log(base), out=table[1:])
     c = _LOG_ULPS
     tolerance = 2 * _UNIT_ROUNDOFF * ((3 * rows + 12 * c + 8) * table[-1] + 4 * c + 3)
     # starts[n]: the place of C(n, 0) among the half-row terms, read row by row.
@@ -232,13 +231,9 @@ def _pascal_digit_rows(rows: int, base: int) -> Iterator[list[int]]:
         place = np.arange(first, min(first + _CHUNK, row_starts[-1]))
         row = np.searchsorted(starts, place, "right") - 1
         r = place - starts[row]
-        x = table[row] - table[r] - table[row - r]
-        frac = x - np.floor(x)
-        # frac < 1 while E < log_b(2); the clip keeps bounds[digit] in range.
-        digit = np.minimum(np.searchsorted(bounds, frac, "right"), base - 1)
-        sure = np.minimum(frac - bounds[digit - 1], bounds[digit] - frac) > tolerance
-        pending += np.where(sure, digit, 0).tolist()
-        exact += (first + np.flatnonzero(~sure)).tolist()
+        digit, unsure = _log_digits(table[row] - table[r] - table[row - r], base, tolerance)
+        pending += digit.tolist()
+        exact += (first + unsure).tolist()
         end, at = first + len(place), 0
         while n < rows and row_starts[n + 1] <= end:
             offset, stop = row_starts[n], row_starts[n + 1]

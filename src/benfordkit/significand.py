@@ -5,7 +5,8 @@ power-of-ten exponent), so digit extraction never rounds. Base 10 reads
 them off the stored digit string, at a cost set by the token's length and
 never by its exponent; other bases run on integer scalings of the value,
 and integers in any base on one division by a running power of the base.
-No float decides a digit, so exact powers of the base come out right.
+A float decides a digit only in ``_log_digits``, under an error bound its
+caller supplies, so exact powers of the base come out right.
 
 The digit domain is stated here once for the package: ``check_base``,
 ``check_position``, ``digit_support`` and the digit rule ``digit_slot``;
@@ -14,6 +15,7 @@ other modules call them.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -31,8 +33,8 @@ from .errors import DomainError, MalformedToken, ZeroValue
 MAX_EXTRACT_DIGITS = 18
 
 # Largest base any command takes. Costs that grow with the base (support
-# tables, census and report columns, the simulator's cell table) stay near
-# a second up to it; at base 10**6 they take seconds and hundreds of MB.
+# tables, census and report columns, the cell table of ``_log_digits``) stay
+# near a second up to it; at base 10**6 they take seconds and hundreds of MB.
 MAX_BASE = 100_000
 
 
@@ -406,3 +408,74 @@ def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
 def first_digit(value: int, base: int = 10) -> int:
     """First digit of a nonzero integer; numpy integers too, floats raise TypeError."""
     return next(_first_digits((value,), base))
+
+
+_CELLS = 2**16
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_table(base: int, guard: float):
+    """The digit boundaries log_base(1..base) and the cell table of `base`.
+
+    [0, 1] is split into _CELLS equal cells. A cell's entry is its digit
+    when the whole cell lies in one digit interval with at least 2 * guard
+    to spare on both sides, else 0 ("near"). One more entry, also 0, is the
+    cell of frac == 1.0.
+    """
+    import numpy as np
+
+    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
+    lo = np.arange(_CELLS) / _CELLS
+    hi = lo + 1 / _CELLS
+    digits = np.minimum(np.searchsorted(bounds, lo, side="right"), base - 1)
+    inside = ((lo - bounds[digits - 1] >= 2 * guard)
+              & (bounds[digits] - hi >= 2 * guard))
+    table = np.zeros(_CELLS + 1, dtype=np.intp)
+    table[:_CELLS][inside] = digits[inside]
+    # Every caller shares the cached arrays.
+    bounds.flags.writeable = table.flags.writeable = False
+    return bounds, table
+
+
+def _log_digits(x, base: int, guard: float):
+    """The first digit of base**x for each double in the array `x`, or 0
+    where it is not certified, and the places of those zeros. `x` is
+    overwritten with its fractional parts f.
+
+    The digit d, log_base(d) <= f < log_base(d + 1), is certified when f is
+    `guard` or more from both boundaries, so `guard` must bound the error
+    of those gaps; >= is sound when the bound keeps a margin over its
+    first-order terms, as Pascal's factor 2 does. Values in digit cells
+    take one table read; only those in near cells take the gap test. A nan
+    or infinite x is never certified.
+    """
+    import numpy as np
+
+    bounds, table = _cell_table(base, guard)
+    # f = x - floor(x), in place, and the cell index is f * _CELLS cast down,
+    # read through the table in place; a nan f's index clips to an end cell.
+    # `digits` is allocated once the floor's temporary is freed, so that it
+    # can take the temporary's memory.
+    with np.errstate(invalid="ignore"):
+        x -= np.floor(x)
+        digits = np.empty(len(x), dtype=np.intp)
+        np.multiply(x, _CELLS, out=digits, casting="unsafe")
+    table.take(digits, mode="clip", out=digits)
+
+    # The near values; when every value is near, the arrays serve uncopied.
+    near = np.flatnonzero(digits == 0)
+    subset = slice(None) if len(near) == len(digits) else near
+    frac = x[subset]
+    near_digits = bounds.searchsorted(frac, side="right")
+    np.clip(near_digits, 1, base - 1, out=near_digits)
+    # Distance from f to the boundaries enclosing its digit; a nan distance
+    # fails the test.
+    gap = bounds.take(near_digits - 1, mode="clip")
+    np.subtract(frac, gap, out=gap)
+    sure = gap >= guard
+    bounds.take(near_digits, mode="clip", out=gap)
+    gap -= frac
+    sure &= gap >= guard
+    near_digits *= sure
+    digits[subset] = near_digits
+    return digits, near[~sure]

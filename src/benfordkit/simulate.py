@@ -6,17 +6,15 @@ additive walk N(t+1) = xi + N(t) does not. Walker state is kept in log
 space to survive long multiplicative runs without overflow. Each noise
 family, with its rules, draw and increments, is one row of `_NOISE`.
 
-One classifier takes every census. It splits [0, 1] into 2**16 equal
-cells and reads each walker's leading digit from a per-base table at the
-fractional part of log_base(N). Only walkers in "near" cells, within
-twice the guard band of a digit boundary, take the gap test; those
-within the guard band are re-derived exactly, so boundary cases like a
-constant noise of exactly the base classify correctly instead of
-flapping on float rounding. A multiplicative walker carries an exact
-integer sum of its ln(xi) from the step it is first flagged on (one
-replay of the stream catches it up), so the cost stays linear in steps;
-an additive walker is read from its stored double. States with no exact
-leading digit count as exclusions (`_census` says which).
+Every census reads log_base(N) with `significand._log_digits` under
+BOUNDARY_GUARD and re-derives exactly the walkers it leaves unsure, so
+boundary cases like a constant noise of exactly the base classify
+correctly instead of flapping on float rounding. A multiplicative walker
+carries an exact integer sum of its ln(xi) from the step it is first
+flagged on (one replay of the stream catches it up), so the cost stays
+linear in steps; an additive walker is read from its stored double.
+States with no exact leading digit count as exclusions (`_census` says
+which).
 
 Runs are deterministic per seed. The generator is counter-based
 (numpy's Philox, 4x64 with 10 rounds) and its name and the numpy version
@@ -25,7 +23,6 @@ are pinned into run metadata for cross-platform reproducibility.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -36,12 +33,11 @@ import numpy as np
 
 from .errors import DomainError, InvalidNoise
 from .gof import DigitCensus, tvd_benford
-from .significand import check_base, extract_digits_rational
+from .significand import _log_digits, check_base, extract_digits_rational
 
 PRNG_NAME = "numpy.random.Philox (4x64, 10 rounds)"
 BOUNDARY_GUARD = 1e-12
 _LOG_STATE_CAP = 2.0**52
-_CELLS = 2**16
 _SCALE = 256  # exact log-sums are integers in units of 2**-_SCALE
 _SNAP = (1 << _SCALE) // 10**38  # an exact digit snaps onto a boundary within 1e-38
 _LN_CONTEXT = Context(prec=100)  # read by _ln alone
@@ -279,103 +275,35 @@ class _LogSums:
         return [self._digit(self.log_x0 + self.sums[i]) for i in walkers]
 
 
-@functools.lru_cache(maxsize=8)
-def _cell_table(base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit boundaries log_base(1..base) and the cell table of `base`.
-
-    [0, 1] is split into _CELLS equal cells. A cell's entry is its digit
-    when the whole cell lies in one digit interval with at least
-    2 * BOUNDARY_GUARD to spare on both sides, else 0 ("near"). One more
-    entry, also 0, is the cell of frac == 1.0.
-    """
-    bounds = np.log(np.arange(1, base + 1)) / math.log(base)
-    lo = np.arange(_CELLS) / _CELLS
-    hi = lo + 1 / _CELLS
-    digits = np.minimum(np.searchsorted(bounds, lo, side="right"), base - 1)
-    inside = ((lo - bounds[digits - 1] >= 2 * BOUNDARY_GUARD)
-              & (bounds[digits] - hi >= 2 * BOUNDARY_GUARD))
-    table = np.zeros(_CELLS + 1, dtype=np.intp)
-    table[:_CELLS][inside] = digits[inside]
-    # Every caller shares the cached arrays.
-    bounds.flags.writeable = table.flags.writeable = False
-    return bounds, table
-
-
 def _census(
     state: np.ndarray, spec: ProcessSpec, step: int, sums: _LogSums
 ) -> DigitCensus:
     """First-digit census of the walkers' states at one recorded step.
 
     Multiplicative states are ln-values; additive states are the values.
-    Each walker's digit is one read of the cell table at frac, the
-    fractional part of log_base(state). Only walkers in near cells take
-    the gap test: their digit d has log_base(d) <= frac < log_base(d + 1),
-    and a walker within BOUNDARY_GUARD of either boundary is resolved
-    exactly, from its exact log-sum in `sums` for a multiplicative run and
-    from its stored double for an additive one. A cell with a digit keeps
-    2 * BOUNDARY_GUARD from every boundary, so every walker within the
-    guard band lies in a near cell. Excluded are additive states that are
-    not positive and finite, and multiplicative states whose log_base is
-    not finite or is at least 2**52 in magnitude: past that cap a double
-    keeps no fractional bits of log_base, so neither the cells nor the gap
-    test can place the walker, and it is excluded rather than resolved.
+    `_log_digits` reads x = log_base(state) under BOUNDARY_GUARD; unsure
+    walkers are resolved exactly, from `sums` or from the stored double.
+    Excluded are additive states that are not positive and finite, and
+    multiplicative states whose x is not finite or reaches 2**52 in
+    magnitude, where a double keeps no fractional bits to place them by.
     """
     base = spec.base
-    bounds, table = _cell_table(base)
-    multiplicative = spec.kind == "multiplicative"
-    if multiplicative:
-        frac = state / math.log(base)
+    if spec.kind == "multiplicative":
+        digits, unsure = _log_digits(state / math.log(base), base, BOUNDARY_GUARD)
+        # Only unsure walkers can be past the cap (their f is 0 or nan); one
+        # past it keeps the digit 0, which the count below drops.
+        unsure = unsure[np.abs(state[unsure] / math.log(base)) < _LOG_STATE_CAP]
+        if len(unsure):
+            digits[unsure] = sums.digits(unsure, step)
     else:
         state = state[(state > 0) & (state < np.inf)]
-        frac = np.log(state)
-        frac /= math.log(base)
-    # frac = x - floor(x), in place, and the cell index is frac * _CELLS
-    # cast down, read through the table in place. An infinite or nan state
-    # gives a nan frac, whose index clips to an end cell, which is near.
-    # `digits` is allocated once the floor's temporary is freed, so that
-    # it can take the temporary's memory.
-    with np.errstate(invalid="ignore"):
-        frac -= np.floor(frac)
-        digits = np.empty(len(frac), dtype=np.intp)
-        np.multiply(frac, _CELLS, out=digits, casting="unsafe")
-    table.take(digits, mode="clip", out=digits)
-
-    # The near walkers; when every walker is near, the arrays serve
-    # uncopied.
-    near = np.flatnonzero(digits == 0)
-    subset = slice(None) if len(near) == len(digits) else near
-    frac = frac[subset]
-    near_digits = bounds.searchsorted(frac, side="right")
-    np.clip(near_digits, 1, base - 1, out=near_digits)
-
-    # Distance from frac to the log-boundaries enclosing its digit; a nan
-    # distance counts as inside the guard band.
-    gap = bounds.take(near_digits - 1, mode="clip")
-    np.subtract(frac, gap, out=gap)
-    clear = gap >= BOUNDARY_GUARD
-    bounds.take(near_digits, mode="clip", out=gap)
-    gap -= frac
-    clear &= gap >= BOUNDARY_GUARD
-    resolve = ~clear
-    if multiplicative:
-        # A state past the cap has frac 0 or nan, which puts it in the
-        # guard band, so only such walkers take the cap test. One past the
-        # cap is excluded, not resolved: its digit becomes 0, which the
-        # count below drops.
-        maybe = np.flatnonzero(~(frac > 0))
-        x = state[near[maybe]] / math.log(base)
-        past_cap = maybe[~(np.abs(x) < _LOG_STATE_CAP)]
-        near_digits[past_cap] = 0
-        resolve[past_cap] = False
-        flagged = near[resolve]
-        if len(flagged):
-            near_digits[resolve] = sums.digits(flagged, step)
-    else:
-        for i in np.flatnonzero(resolve):
+        x = np.log(state)
+        x /= math.log(base)
+        digits, unsure = _log_digits(x, base, BOUNDARY_GUARD)
+        for i in unsure.tolist():
             # The stored double is the exact state here; classify it exactly.
-            num, den = float(state[near[i]]).as_integer_ratio()
-            near_digits[i] = extract_digits_rational(num, den, 1, base).first
-    digits[subset] = near_digits
+            num, den = float(state[i]).as_integer_ratio()
+            digits[i] = extract_digits_rational(num, den, 1, base).first
 
     counts = tuple(np.bincount(digits, minlength=base)[1:base].tolist())
     return DigitCensus(1, base, counts, spec.walkers - sum(counts))

@@ -45,6 +45,20 @@ class TestCensusType:
         with pytest.raises(ValueError):
             DigitCensus(1, 10, (-1,) + (0,) * 8)
 
+    @pytest.mark.parametrize("position, base, counts, error, message", [
+        (0, 1, (), DomainError, "base must be >= 2, got 1"),
+        (19, 100_001, (0,) * 3, DomainError, "base must be <= 100000, got 100001"),
+        (0, 10, (), DomainError, "position must be >= 1, got 0"),
+        (19, 10, (0,) * 10, DomainError, "position must be <= 18, got 19"),
+        (1, 10, (0,) * 10, ValueError,
+         "counts must have 9 entries for position 1 base 10, got 10"),
+        (2, 100_000, (0,) * 99_999, ValueError,
+         "counts must have 100000 entries for position 2 base 100000, got 99999"),
+    ])
+    def test_base_then_position_then_length(self, position, base, counts, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            DigitCensus(position, base, counts)
+
     def test_merge_commutative_associative(self):
         rng = random.Random(5)
         a = census([rng.randrange(50) for _ in range(9)], exclusions=2)

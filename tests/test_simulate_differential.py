@@ -5,7 +5,10 @@ noise-family table's walks and exact integer terms against the
 reference's per-family functions; the integer digit rule against the
 reference's snap in value space; and the cell-table census against the
 pow-and-gap classifier run on every walker, on states at and around digit
-boundaries, guard bands and cell edges in bases 2-64, 300 and 100,000."""
+boundaries, guard bands and cell edges in bases 2-64, 300 and 100,000. The
+float digit reader both the simulator and Pascal's digits use,
+`significand._log_digits`, and its cell table are checked here too, under
+both callers' bounds, against a 60-digit reading of each double."""
 
 import math
 from unittest import mock
@@ -15,15 +18,19 @@ import numpy as np
 import pytest
 
 import replay_oracle
-from benfordkit import simulate
-from benfordkit.significand import extract_digits_rational
-from benfordkit.simulate import (
+from benfordkit import sequences, simulate
+from benfordkit.significand import (
     _CELLS,
+    MAX_BASE,
+    _cell_table,
+    _log_digits,
+    extract_digits_rational,
+)
+from benfordkit.simulate import (
     _LOG_STATE_CAP,
     BOUNDARY_GUARD,
     NoiseSpec,
     ProcessSpec,
-    _cell_table,
     _census,
     run_ensemble,
 )
@@ -274,22 +281,47 @@ class TestCellCensusMatchesPowAndGap:
                     == _observed(replay_oracle.census, replay_oracle, state, spec, step))
 
 
+def _pascal_guard(rows: int, base: int) -> float:
+    """The bound E that Pascal's digits pass to `_log_digits`."""
+    seen = []
+
+    def spy(x, base, guard):
+        seen.append(guard)
+        return _log_digits(x, base, guard)
+
+    with mock.patch.object(sequences, "_log_digits", spy):
+        next(sequences.pascal_digits(rows, base))
+    return seen[0]
+
+
+# The two bounds `_log_digits` is called with: the simulator's, and Pascal's
+# E at 1000 rows in base 10 (about 1.7e-9).
+_PASCAL_GUARD = _pascal_guard(1000, 10)
+_GUARDS = [pytest.param(BOUNDARY_GUARD, id="simulate"),
+           pytest.param(_PASCAL_GUARD, id="pascal")]
+
+
 class TestCellTable:
+    @pytest.mark.parametrize("guard", _GUARDS)
     @pytest.mark.parametrize("base", [300, 100_000])
-    def test_shape_and_dtype(self, base):
-        bounds, table = _cell_table(base)
+    def test_shape_and_dtype(self, base, guard):
+        bounds, table = _cell_table(base, guard)
         assert len(bounds) == base and len(table) == _CELLS + 1
         assert np.iinfo(table.dtype).max >= base - 1
         # Cell 0 touches the boundary at 0; the extra entry is frac == 1.0.
         assert table[0] == 0 and table[_CELLS] == 0
 
-    def test_digit_cells_keep_clear_of_every_bound(self):
+    def test_pascal_guard(self):
+        assert 1e-9 < _PASCAL_GUARD < 3e-9
+
+    @pytest.mark.parametrize("guard", _GUARDS)
+    def test_digit_cells_keep_clear_of_every_bound(self, guard):
         # Exhaustive over every cell of bases 2-64: a cell with a digit has
         # that digit, by the pow-and-gap test's floor(base**frac), at both
-        # of its edges, and both edges are BOUNDARY_GUARD or more from every
+        # of its edges, and both edges are `guard` or more from every
         # boundary.
         for base in range(2, 65):
-            bounds, table = _cell_table(base)
+            bounds, table = _cell_table(base, guard)
             cells = np.flatnonzero(table)
             assert len(cells) > 0.99 * _CELLS
             for edge in (cells / _CELLS, (cells + 1) / _CELLS):
@@ -298,4 +330,94 @@ class TestCellTable:
                 after = np.searchsorted(bounds, edge)
                 nearest = np.minimum(edge - bounds[np.maximum(after - 1, 0)],
                                      bounds[np.minimum(after, base - 1)] - edge)
-                assert (np.abs(nearest) >= BOUNDARY_GUARD).all(), base
+                assert (np.abs(nearest) >= guard).all(), base
+
+
+def _exact_digit(x: float, base: int) -> tuple[int, mpmath.mpf]:
+    """The first digit of base**x for a finite double x, read at 60 digits
+    from x's exact value, and the distance from x's fractional part to the
+    nearer boundary of that digit's interval."""
+    with mpmath.workdps(60):
+        f = mpmath.mpf(x) - mpmath.floor(mpmath.mpf(x))  # exact
+        ln_base = mpmath.log(base)
+
+        def bound(k):
+            return mpmath.log(k) / ln_base
+
+        d = min(max(int(mpmath.floor(mpmath.exp(f * ln_base))), 1), base - 1)
+        while d > 1 and f < bound(d):
+            d -= 1
+        while d < base - 1 and f >= bound(d + 1):
+            d += 1
+        return d, min(f - bound(d), bound(d + 1) - f)
+
+
+# Slack for the reader's own rounding: of f below 1, and of the boundaries.
+_ULPS = 16 * 2.0**-52
+
+
+@st.composite
+def _reader_inputs(draw, base, guard):
+    """One double for `_log_digits`: a boundary k + log_b(d), `guard` to
+    either side of one, a cell edge, just below an integer, any double up
+    to 2**52 in magnitude, or a special value; then moved a few ulps."""
+    place = draw(st.sampled_from(["boundary", "guard", "edge", "integer", "any", "special"]))
+    k = draw(st.integers(-6, 6) | st.integers(-2**52, 2**52))
+    if place == "special":
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if place == "any":
+        return draw(st.floats(-2.0**52, 2.0**52))
+    if place == "integer":
+        return math.nextafter(float(draw(st.integers(-2**52, 2**52))), -math.inf)
+    if place == "edge":
+        x = k + draw(st.integers(0, _CELLS)) / _CELLS
+    else:
+        d = draw(st.integers(1, base))
+        x = k + math.log(d) / math.log(base)
+        if place == "guard":
+            x += draw(st.sampled_from([-1, 1])) * guard
+    return _nudge(x, draw(st.integers(-4, 4)))
+
+
+class TestLogDigits:
+    """`significand._log_digits` against a 60-digit reading of each double:
+    every digit it gives is the exact one, with `guard` to spare, every
+    value clear of both boundaries of its digit by guard plus a few ulps
+    gets one, and `unsure` is exactly the places of the zeros."""
+
+    @staticmethod
+    def _check(x, base, guard):
+        digits, unsure = _log_digits(np.array(x, dtype=np.float64), base, guard)
+        assert len(digits) == len(x)
+        np.testing.assert_array_equal(unsure, np.flatnonzero(digits == 0))
+        for value, digit in zip(x, digits.tolist()):
+            if not math.isfinite(value):
+                assert digit == 0, value
+                continue
+            exact, gap = _exact_digit(value, base)
+            if digit:
+                # The exact digit, with `guard` to spare on both sides.
+                assert digit == exact and gap >= guard - _ULPS, (value, digit, exact)
+            if gap >= guard + _ULPS:
+                assert digit == exact, (value, float(gap))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_digits_are_exact_and_unsure_is_the_zeros(self, data):
+        base = data.draw(st.integers(2, 64) | st.integers(65, MAX_BASE), label="base")
+        guard = data.draw(st.sampled_from([BOUNDARY_GUARD, _PASCAL_GUARD]), label="guard")
+        self._check(data.draw(st.lists(_reader_inputs(base, guard), max_size=30), label="x"),
+                    base, guard)
+
+    @pytest.mark.parametrize("guard", _GUARDS)
+    @pytest.mark.parametrize("base", [2, 4, 10, 16, 64, MAX_BASE])
+    def test_boundaries_edges_and_specials(self, base, guard):
+        # log_4(2) = 0.5 is a boundary that a double holds exactly.
+        ln_base = math.log(base)
+        boundaries = [k + math.log(d) / ln_base for d in (1, 2, base - 1) for k in (0, 3, -5)]
+        x = [_nudge(v + s * guard, u) for v in boundaries for s in (-1, 0, 1) for u in (-2, 0, 2)]
+        x += [j / _CELLS for j in (0, 1, _CELLS // 2, _CELLS - 1, _CELLS)]
+        x += [math.nextafter(k, -math.inf) for k in (0.0, 1.0, -1.0, 2.0**40, 2.0**52)]
+        x += [2.0**52, -(2.0**52), 2.0**52 - 0.5, -1e-17, math.nan, math.inf, -math.inf]
+        self._check(x, base, guard)
+        self._check([], base, guard)
