@@ -6,8 +6,8 @@ generators, a multiplicative-process ensemble simulator, and numeric-token
 ingestion from text and tables.
 
 Every public name is imported from its submodule on first use (PEP 562),
-so importing the package, or one submodule, loads neither numpy nor mpmath
-until a function that needs them runs.
+so importing the package, or one submodule, does not load numpy, the one
+runtime dependency, until a function that needs it runs.
 """
 
 __version__ = "0.1.0"

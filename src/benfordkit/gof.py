@@ -67,7 +67,8 @@ class DigitCensus:
 
     @classmethod
     def empty(cls, position: int = 1, base: int = 10) -> "DigitCensus":
-        return cls(position, base, (0,) * len(digit_support(position, base)))
+        check_base(base)  # before the tuple it sizes; __post_init__ checks the position
+        return cls(position, base, (0,) * (base - _lowest_digit(position)))
 
     @classmethod
     def from_digits(
@@ -141,9 +142,8 @@ def count_digits(
     ``None`` item, an input item with no value (a skipped token, a cell
     that is not a numeric token), land in the exclusions tally.
     """
-    support = digit_support(position, base)
-    offset = support[0]
-    counts = [0] * len(support)
+    counts = list(DigitCensus.empty(position, base).counts)
+    offset = _lowest_digit(position)
     exclusions = 0
     for value in values:
         if value is None:

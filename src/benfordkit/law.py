@@ -6,8 +6,8 @@ integer spelled by the digits; marginals, moments, distances to uniform,
 and inter-digit correlations all derive from it.
 
 Position-k marginals are that law summed over prefixes, telescoped into
-lnGamma differences and evaluated at extended precision (Hill, "The
-Significant-Digit Phenomenon", Amer. Math. Monthly 102, 1995).
+lnGamma differences (Hill, "The Significant-Digit Phenomenon", Amer. Math.
+Monthly 102, 1995) and evaluated in ``decimal`` with a Bernoulli-polynomial tail.
 Correlations sum centred conditional means over the prefixes of the
 deeper position, with the means and variances taken from the marginals.
 """
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 from typing import Sequence
 
@@ -31,6 +32,10 @@ MAX_POSITION = MAX_EXTRACT_DIGITS
 MAX_CORRELATION_POSITION = 6
 
 _LN10 = math.log(10.0)
+_TAIL = 12  # the last m kept in the Bernoulli-polynomial tail; see _closed_form
+# The Bernoulli numbers B_0..B_12 (B_1 = -1/2, DLMF Table 24.2.1) times 30030,
+# their least common denominator.
+_BERNOULLI = (30030, -15015, 5005, 0, -1001, 0, 715, 0, -1001, 0, 2275, 0, -7601)
 
 
 @dataclass(frozen=True)
@@ -77,24 +82,48 @@ def joint_prob(digits: Sequence[int]) -> float:
     return math.log1p(1.0 / m) / _LN10
 
 
+@lru_cache(maxsize=None)
+def _tail_table() -> tuple[tuple[int, ...], ...]:
+    """For each d, (-1)**m L 10**m (B_m((d+1)/10) - B_m(d/10)), m = 2.._TAIL,
+    L = _BERNOULLI[0]. These are integers: L 10**m B_m(n/10) is the sum over
+    j <= m of C(m, j) (L B_j) 10**j n**(m-j) (DLMF 24.2.5)."""
+    at = [[sum(math.comb(m, j) * b * 10**j * n ** (m - j) for j, b in enumerate(_BERNOULLI[:m + 1]))
+           for n in range(11)] for m in range(_TAIL + 1)]
+    return tuple(tuple((-1) ** m * (at[m][d + 1] - at[m][d]) for m in range(2, _TAIL + 1))
+                 for d in range(10))
+
+
 def _closed_form(k: int) -> tuple[tuple[float, ...], float]:
     """P_k(d), d = 0..9, and its distance to uniform, for k >= 2.
 
-    Over the prefixes m in [lo, hi), lo = 10**(k-2) and hi = 10**(k-1), the
-    product of (10m + d + 1) / (10m + d) telescopes to Gamma ratios, so with
-    g(x) = lnG(hi + x) - lnG(lo + x), P_k(d) = [g((d+1)/10) - g(d/10)] / ln 10.
-    The terms nearly cancel and P_k(d) - 1/10 shrinks like 10**-k, so both
-    results are rounded to doubles only at the end.
-    """
-    import mpmath
+    ln 10 * P_k(d) sums ln((10m + d + 1) / (10m + d)) over lo <= m < hi,
+    lo = 10**(k-2), hi = 10**(k-1): one ln of an exact ratio for k <= 3.
+    Beyond, it is lnG(hi + b) - lnG(lo + b) - lnG(hi + a) + lnG(lo + a),
+    a = d/10, b = a + 1/10, and lnG(N + h) expands in Bernoulli polynomials
+    (DLMF 5.11.8). As hi = 10 lo, the ln N terms leave ln 10 / 10, and
+    P_k(d) - 1/10 = (R(hi) - R(lo)) / ln 10, R(N) the sum over 2 <= m <= _TAIL
+    of (-1)**m (B_m(b) - B_m(a)) / (m(m-1) N**(m-1)). The distance to uniform
+    comes from these deviations at 20 + 2k digits, before any is a double.
 
+    The remainder after m = M (DLMF 5.11(ii)), by the Euler-Maclaurin sum of
+    ln t over t = lo + h, ..., hi - 1 + h, is at most sup|B_M| / (M(M-1)
+    lo**(M-1)) for each h. At M = 12, sup|B_12| = 691/2730 on [0, 1] (DLMF
+    24.9.1), so at lo >= 100 each P_k(d) is within 2 * 691/2730 / (132 *
+    100**11 * ln 10) < 1.7e-25, and the distance within 8.4e-25: under 1e-5
+    ulp of either at k = 4, the worst case.
+    """
     lo, hi = 10 ** (k - 2), 10 ** (k - 1)
-    with mpmath.workdps(20 + 2 * k):
-        xs = [mpmath.mpf(n) / 10 for n in range(11)]
-        g = [mpmath.loggamma(hi + x) - mpmath.loggamma(lo + x) for x in xs]
-        probs = [(g[d + 1] - g[d]) / mpmath.ln10 for d in range(10)]
-        tvd = mpmath.fsum(abs(p - mpmath.mpf(1) / 10) for p in probs) / 2
-        return tuple(float(p) for p in probs), float(tvd)
+    with localcontext(Context(prec=20 + 2 * k)):
+        ln10 = Decimal(10).ln()
+        if hi <= 100:
+            devs = [(Decimal(math.prod(10 * m + d + 1 for m in range(lo, hi)))
+                     / math.prod(10 * m + d for m in range(lo, hi))).ln() / ln10 - Decimal("0.1")
+                    for d in range(10)]
+        else:
+            scale = [(Decimal(hi) ** (1 - m) - Decimal(lo) ** (1 - m)) / (m * (m - 1) * 10**m)
+                     / _BERNOULLI[0] for m in range(2, _TAIL + 1)]
+            devs = [sum(map(operator.mul, row, scale)) / ln10 for row in _tail_table()]
+        return tuple(float(dev + Decimal("0.1")) for dev in devs), float(sum(map(abs, devs)) / 2)
 
 
 @lru_cache(maxsize=None)

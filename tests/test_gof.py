@@ -18,7 +18,7 @@ from benfordkit.gof import (
     tvd_benford,
 )
 from benfordkit.law import marginal_distribution
-from benfordkit.significand import parse_token
+from benfordkit.significand import MAX_BASE, parse_token
 from benfordkit.simulate import NoiseSpec, ProcessSpec, run_ensemble
 
 TABLE4_COUNTS = (63, 37, 18, 15, 15, 13, 7, 7, 8)
@@ -34,6 +34,15 @@ class TestCensusType:
         assert c.support == tuple(range(1, 10))
         assert c.sample_size == 183
         assert c.count_of(1) == 63
+
+    @pytest.mark.parametrize("position, base", [(1, 2), (1, 10), (2, 10), (18, 16),
+                                                (1, MAX_BASE), (2, MAX_BASE)])
+    def test_empty_has_one_zero_per_supported_digit(self, position, base):
+        assert DigitCensus.empty(position, base).counts == (0,) * len(digit_support(position, base))
+
+    def test_empty_refuses_a_huge_base_before_sizing_its_counts(self):
+        with pytest.raises(DomainError, match=f"^base must be <= {MAX_BASE}, got {10**12}$"):
+            DigitCensus.empty(1, 10**12)
 
     def test_position_two_support_includes_zero(self):
         c = DigitCensus.empty(2, 10)

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from benfordkit import law
 from benfordkit.errors import DomainError
 from benfordkit.law import (
     MAX_POSITION,
@@ -222,7 +224,13 @@ class TestDeepPositionsAgainst60Digits:
         got_mean, got_var = moments(k)
         assert got_mean == pytest.approx(mean, rel=1e-13, abs=0)
         assert got_var == pytest.approx(var, rel=1e-13, abs=0)
-        assert tvd_from_uniform(k) == pytest.approx(tvd, rel=1e-13, abs=0)
+        assert tvd_from_uniform(k) == tvd
+
+    def test_bernoulli_table(self):
+        # The tail's coefficients come from this table, scaled by B_0's entry.
+        assert len(law._BERNOULLI) > law._TAIL
+        assert [Fraction(b, law._BERNOULLI[0]) for b in law._BERNOULLI] == [
+            Fraction(*mpmath.bernfrac(j)) for j in range(len(law._BERNOULLI))]
 
 
 class TestTvdFromUniform:
