@@ -182,7 +182,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise DomainError("generate takes --census or --values, not both")
     spec = _sequence_spec(args)
     if args.census:
-        census = DigitCensus.from_digits(spec.digit_stream(), 1, spec.base)
+        census = DigitCensus.from_blocks(spec.digit_blocks(), 1, spec.base)
         print("digit,count")
         for digit, count in zip(census.support, census.counts):
             print(f"{digit},{count}")

@@ -33,7 +33,7 @@ from .significand import (ExactDecimal, _lowest_digit, check_base, check_positio
 CHI2_CRITICAL_5PCT = 15.51
 CHI2_CRITICAL_1PCT = 20.09
 DEGREES_OF_FREEDOM = 8
-# Digits DigitCensus.from_digits takes at a time.
+# Digits DigitCensus.from_blocks takes at a time from a block that is not an array.
 _CHUNK = 1 << 16
 
 
@@ -74,24 +74,50 @@ class DigitCensus:
     def from_digits(
         cls, digits: Iterable[int], position: int = 1, base: int = 10
     ) -> "DigitCensus":
-        """Count already-extracted digits, checking each distinct one once.
+        """Count already-extracted digits, checking each distinct one once:
+        ``from_blocks`` with the whole stream as one block."""
+        return cls.from_blocks((digits,), position, base)
 
-        Items are counted a slice at a time through ``operator.index``, so a
+    @classmethod
+    def from_blocks(
+        cls, blocks: Iterable[Iterable[int]], position: int = 1, base: int = 10
+    ) -> "DigitCensus":
+        """Count digits given in blocks: the one counting function.
+
+        A one-dimensional numpy integer array whose min and max pass the
+        digit rule is counted by one ``np.bincount``. Any other block, an
+        array that fails that check included (taken as its ``tolist()``), is
+        counted a slice at a time through ``operator.index``, so a
         non-integer equal to a digit (1.0) never merges with that digit's
         count: the slice it is in is read by the digit rule, which raises.
+        Either way a bad digit raises the DomainError the rule gives it.
         """
         counts = list(cls.empty(position, base).counts)
         tally: Counter = Counter()
-        items = iter(digits)
-        while chunk := list(islice(items, _CHUNK)):
-            try:
-                tally.update(map(operator.index, chunk))
-            except TypeError:
-                for digit in chunk:
-                    digit_slot(digit, position, base)
-                raise
+        binned = None  # the bincount totals over 0..base-1, once an array comes
+        for block in blocks:
+            if hasattr(block, "tolist"):
+                if _in_range(block, position, base):
+                    import numpy as np
+
+                    block_counts = np.bincount(block.astype(np.intp, copy=False),
+                                               minlength=base)
+                    binned = block_counts if binned is None else binned + block_counts
+                    continue
+                block = block.tolist()
+            items = iter(block)
+            while chunk := list(islice(items, _CHUNK)):
+                try:
+                    tally.update(map(operator.index, chunk))
+                except TypeError:
+                    for digit in chunk:
+                        digit_slot(digit, position, base)
+                    raise
         for digit, count in tally.items():
             counts[digit_slot(digit, position, base)] += count
+        if binned is not None:
+            lo = _lowest_digit(position)
+            counts = [a + b for a, b in zip(counts, binned[lo:].tolist())]
         return cls(position, base, tuple(counts))
 
     @property
@@ -114,6 +140,19 @@ class DigitCensus:
         )
 
     __add__ = merge
+
+
+def _in_range(array, position: int, base: int) -> bool:
+    """Whether ``array`` is a nonempty one-dimensional integer array whose
+    min and max pass the digit rule."""
+    if array.ndim != 1 or array.dtype.kind not in "iu" or not len(array):
+        return False
+    try:
+        digit_slot(int(array.min()), position, base)
+        digit_slot(int(array.max()), position, base)
+    except DomainError:
+        return False
+    return True
 
 
 Value = Union[ExactDecimal, int, float, str]

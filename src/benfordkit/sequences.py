@@ -18,34 +18,43 @@ sieve over the odd numbers as an int64 array, exact because they stay
 below PRIME_BOUND_CAP; their digits are the array divided by the largest
 power of the base at most each prime, so no prime becomes a Python
 integer. Pascal's digits come from one table of log_b(k!) in floating
-point: ``significand._log_digits`` reads log_b C(n, r) for a whole block of
-half-row terms and keeps a digit only when a certified error bound puts the
-term's fractional part inside one digit's interval. The few terms the bound
-cannot decide (every C(n, 0), exact hits such as C(5, 2) = 10) are read
-exactly from the row's integer prefix. Rows are emitted mirrored,
-C(n, r) = C(n, n - r). Recursions, factorials and n**k go through
-``significand._first_digits``, one running power of the base: a term one
-digit away steps it, a term several digits up (most factorials) re-seeds
-it from the power it carries.
+point: ``significand._log_digits`` reads log_b C(n, r) for a block of
+whole rows' half-row terms and keeps a digit only when a certified error
+bound puts the term's fractional part inside one digit's interval. The few
+terms the bound cannot decide (every C(n, 0), exact hits such as C(5, 2) =
+10) are read exactly from the row's integer prefix; then one index gather
+mirrors the block's rows, C(n, r) = C(n, n - r). Recursions, factorials
+and n**k go through ``significand._first_digits``, one shift in a base
+2**s, else one running power of the base: a term one digit away steps it,
+a term several digits up (most factorials) re-seeds it from the power it
+carries.
+
+Each kind's digit generator in ``_SERIES`` yields its digits in blocks, in
+stream order: the primes and Pascal as numpy int arrays, which
+``DigitCensus.from_blocks`` counts with one ``np.bincount`` each, the
+other kinds as one lazy block of ints, so they never import numpy. The
+public ``prime_digits`` and ``pascal_digits`` yield the same digits as
+Python ints.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Iterator, NamedTuple, Union
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import DomainError
 from .significand import (
     _exponent_below, _first_digits, _log_digits, check_base, extract_digits_rational)
 
 PRIME_BOUND_CAP = 10**8
-# Numpy work is done, and turned into Python ints, at most this many items at
-# a time: a Python int in a list costs about 36 bytes, so the 5.8 million
-# primes below the cap would take 200 MB at once.
+# The most items in one block of digits: the primes' blocks hold this many,
+# Pascal's this many half-row terms. It bounds the numpy temporaries, and the
+# lists of the public int streams: a Python int in a list costs about 36
+# bytes, so the 5.8 million primes below the cap would take 200 MB at once.
 _CHUNK = 2**16
 PRODUCT_DIGITS = 60
 
@@ -83,22 +92,33 @@ def _check_bound(bound: int) -> None:
 
 def _sieve(bound: int):
     """The primes strictly below ``bound`` as an int64 array, by sieve of
-    Eratosthenes over the odd numbers (flag i stands for 2i + 1), with 2
-    prepended. Every one is below PRIME_BOUND_CAP, so int64 is exact."""
+    Eratosthenes over the odd numbers: flag i stands for 2i + 1, except flag
+    0, which stands for 2. Every one is below PRIME_BOUND_CAP, so int64 is
+    exact."""
     import numpy as np
 
     flags = np.ones(bound // 2, dtype=bool)
-    flags[0] = False
+    flags[0] = bound > 2
     for i in range(1, (math.isqrt(bound - 1) + 1) // 2):
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = False
-    odd = 2 * np.flatnonzero(flags).astype(np.int64) + 1
-    return np.concatenate(([2], odd)) if bound > 2 else odd
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    del flags
+    primes *= 2
+    primes += 1
+    primes[:1] = 2
+    return primes
 
 
 def _chunks(array) -> Iterator:
     return (array[i : i + _CHUNK] for i in range(0, len(array), _CHUNK))
+
+
+def _digit_items(blocks: Iterable) -> Iterator[int]:
+    """The digits of a block stream, in order, as Python ints."""
+    return chain.from_iterable(
+        block.tolist() if hasattr(block, "tolist") else block for block in blocks)
 
 
 def prime_values(bound: int) -> Iterator[int]:
@@ -109,8 +129,15 @@ def prime_values(bound: int) -> Iterator[int]:
 
 
 def prime_digits(bound: int, base: int = 10) -> Iterator[int]:
-    """First digits of the primes below ``bound``, read off the sieve's array:
-    each prime divided by the largest power of the base at most it, in int64."""
+    """First digits of the primes below ``bound``, in order. Both arguments are
+    checked at the first ``next``, the bound first."""
+    return _digit_items(_prime_digit_blocks(bound, base))
+
+
+def _prime_digit_blocks(bound: int, base: int) -> Iterator:
+    """The first digits of the primes below ``bound`` as int64 arrays of up to
+    _CHUNK, read off the sieve's array: each prime divided by the largest power
+    of the base at most it."""
     _check_bound(bound)
     check_base(base)
     import numpy as np
@@ -121,7 +148,7 @@ def prime_digits(bound: int, base: int = 10) -> Iterator[int]:
         powers.append(powers[-1] * base)
     powers = np.array(powers, dtype=np.int64)
     for chunk in _chunks(primes):
-        yield from (chunk // powers[np.searchsorted(powers, chunk, "right") - 1]).tolist()
+        yield chunk // powers[np.searchsorted(powers, chunk, "right") - 1]
 
 
 def factorial_values(n_max: int) -> Iterator[int]:
@@ -185,19 +212,21 @@ _UNIT_ROUNDOFF = 2.0**-53
 def pascal_digits(rows: int, base: int = 10) -> Iterator[int]:
     """First digits of ``pascal_values``, each row's first half read and mirrored.
     Both arguments are checked at the first ``next``, the row count first."""
-    # Whole rows joined in C, not a generator resumed for each digit: that
-    # took 1.5 to 2 times as long over 1000 rows.
-    return chain.from_iterable(_pascal_digit_rows(rows, base))
+    return _digit_items(_pascal_digit_blocks(rows, base))
 
 
-def _pascal_digit_rows(rows: int, base: int) -> Iterator[list[int]]:
-    """The first digits of Pascal's rows n < rows, one list a row.
+def _pascal_digit_blocks(rows: int, base: int) -> Iterator:
+    """The first digits of Pascal's rows n < rows, read left to right, as int
+    arrays of whole rows: each block holds the rows whose half-row terms,
+    C(n, r) for r <= n // 2, number at most _CHUNK together (one row if a
+    single row has more).
 
-    Each half-row term C(n, r), r <= n // 2, is read by ``_log_digits``
-    under the bound E, in blocks of 2**16, at x = F[n] - F[r] - F[n - r],
-    F[k] = log_b(k!) the running sum of ln(j) / ln(b). The terms it leaves
-    unsure, among them every C(n, 0) and exact hits such as C(5, 2) = 10,
-    are read from the row's exact prefix, built once up to the last of them.
+    Each half-row term is read by ``_log_digits`` under the bound E at
+    x = F[n] - F[r] - F[n - r], F[k] = log_b(k!) the running sum of
+    ln(j) / ln(b). The terms it leaves unsure, among them every C(n, 0) and
+    exact hits such as C(5, 2) = 10, are read from their row's exact prefix,
+    built once up to the last of them. The block is then mirrored,
+    C(n, r) = C(n, n - r), by one gather from the half-row digits.
 
     E bounds the error of the gaps from frac(x) to its digit's two
     boundaries (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -223,32 +252,46 @@ def _pascal_digit_rows(rows: int, base: int) -> Iterator[list[int]]:
     # starts[n]: the place of C(n, 0) among the half-row terms, read row by row.
     starts = np.zeros(rows + 1, dtype=np.int64)
     np.cumsum(np.arange(rows) // 2 + 1, out=starts[1:])
-    row_starts = starts.tolist()
-    pending: list[int] = []  # digits from row n's start on; 0 for a term read exactly
-    exact: list[int] = []  # places of the terms read exactly, not yet emitted
     n = 0
-    for first in range(0, row_starts[-1], _CHUNK):
-        place = np.arange(first, min(first + _CHUNK, row_starts[-1]))
-        row = np.searchsorted(starts, place, "right") - 1
-        r = place - starts[row]
-        digit, unsure = _log_digits(table[row] - table[r] - table[row - r], base, tolerance)
-        pending += digit.tolist()
-        exact += (first + unsure).tolist()
-        end, at = first + len(place), 0
-        while n < rows and row_starts[n + 1] <= end:
-            offset, stop = row_starts[n], row_starts[n + 1]
-            half = pending[at : at + stop - offset]
-            k = bisect.bisect_left(exact, stop)
-            if k:
-                places = [p - offset for p in exact[:k]]
-                prefix = _pascal_prefix(n, places[-1])
-                for p, d in zip(places, _first_digits([prefix[p] for p in places], base)):
-                    half[p] = d
-                del exact[:k]
-            at += len(half)
-            yield _mirrored(half, n)
-            n += 1
-        del pending[:at]
+    while n < rows:
+        end = max(n + 1, int(np.searchsorted(starts, starts[n] + _CHUNK, "right")) - 1)
+        # int32: every place within a block, and every row, is far below 2**31.
+        block_rows = np.arange(n, end, dtype=np.int32)
+        halves = block_rows // 2 + 1
+        row, r = _row_places(block_rows, halves)
+        digits, unsure = _log_digits(table[row] - table[r] - table[row - r], base, tolerance)
+        if len(unsure):
+            terms = _exact_terms(row[unsure].tolist(), r[unsure].tolist())
+            digits[unsure] = list(_first_digits(terms, base))
+        # Term r of row m is the half-row term min(r, m - r) of that row.
+        row, r = _row_places(block_rows, block_rows + 1)
+        row -= r
+        np.minimum(r, row, out=r)
+        r += np.repeat(np.cumsum(halves) - halves, block_rows + 1)
+        yield digits[r]
+        n = end
+
+
+def _row_places(rows, lengths):
+    """For rows of these lengths laid end to end: each place's row, and its
+    index within that row."""
+    import numpy as np
+
+    row = np.repeat(rows, lengths)
+    place = np.arange(len(row), dtype=rows.dtype)
+    place -= np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return row, place
+
+
+def _exact_terms(rows: list[int], places: list[int]) -> list[int]:
+    """C(n, r) for each pair of ``rows`` and ``places``, given in row order and
+    by rising r within a row, each row's prefix built once."""
+    terms: list[int] = []
+    for n, group in groupby(zip(rows, places), key=itemgetter(0)):
+        rs = [r for _, r in group]
+        prefix = _pascal_prefix(n, rs[-1])
+        terms += [prefix[r] for r in rs]
+    return terms
 
 
 AlphaLike = Union[Fraction, int, str, float]
@@ -348,36 +391,43 @@ def _exact_alpha_digit(alpha: Fraction, n: int, base: int) -> int:
 
 class _Series(NamedTuple):
     values: Callable[..., Iterator]
-    digits: Callable[..., Iterator[int]]
+    digit_blocks: Callable[..., Iterable]
     # (name, type, default, help) in argument order; default None = required.
     params: tuple[tuple[str, type, int | None, str], ...]
 
 
-# The series kinds: each one's value and first-digit generators and the
-# parameters both take (the digit generator also takes the base). The CLI
-# builds `generate`'s flags, kind choices and epilog from this table.
+def _one_block(digits: Callable[..., Iterator[int]]) -> Callable[..., Iterable]:
+    """The block generator whose one block is the whole lazy stream of ``digits``."""
+    return lambda *arguments: (digits(*arguments),)
+
+
+# The series kinds: each one's value generator, its first-digit generator and
+# the parameters both take (the digit generator also takes the base). The
+# digits come in blocks, in stream order: int arrays for the kinds made in
+# numpy, the whole stream as one block for the others. The CLI builds
+# `generate`'s flags, kind choices and epilog from this table.
 _SERIES = {
     "fibonacci": _Series(
         fibonacci_values,
-        fibonacci_digits,
+        _one_block(fibonacci_digits),
         (("a1", int, 1, "first seed"), ("a2", int, 1, "second seed"),
          ("terms", int, None, "number of terms")),
     ),
-    "primes": _Series(prime_values, prime_digits,
+    "primes": _Series(prime_values, _prime_digit_blocks,
                       (("below", int, None, "exclusive upper bound"),)),
     "power_alpha": _Series(
         alpha_power_values,
-        alpha_power_digits,
+        _one_block(alpha_power_digits),
         (("alpha", Fraction, None, "ratio > 1, e.g. 1007/1000 or 1.007"),
          ("n", int, None, "term count")),
     ),
-    "factorial": _Series(factorial_values, factorial_digits,
+    "factorial": _Series(factorial_values, _one_block(factorial_digits),
                          (("n", int, None, "term count"),)),
     "power_n": _Series(
-        n_power_values, n_power_digits,
+        n_power_values, _one_block(n_power_digits),
         (("k", int, None, "exponent"), ("n", int, None, "term count")),
     ),
-    "pascal": _Series(pascal_values, pascal_digits,
+    "pascal": _Series(pascal_values, _pascal_digit_blocks,
                       (("rows", int, None, "number of rows"),)),
 }
 
@@ -423,8 +473,12 @@ class SequenceSpec:
                 raise DomainError(f"{kind} --{name}: not {what}: {value!r}") from None
         return arguments
 
+    def digit_blocks(self) -> Iterable:
+        """The first digits in blocks, in stream order (see ``_SERIES``)."""
+        return _SERIES[self.kind].digit_blocks(*self._arguments(), self.base)
+
     def digit_stream(self) -> Iterator[int]:
-        return _SERIES[self.kind].digits(*self._arguments(), self.base)
+        return _digit_items(self.digit_blocks())
 
     def value_stream(self) -> Iterator:
         return _SERIES[self.kind].values(*self._arguments())

@@ -4,7 +4,8 @@ Numeric tokens are kept as exact decimal records (sign, digit string,
 power-of-ten exponent), so digit extraction never rounds. Base 10 reads
 them off the stored digit string, at a cost set by the token's length and
 never by its exponent; other bases run on integer scalings of the value,
-and integers in any base on one division by a running power of the base.
+and integers on one shift in a base 2**s, else on one division by a
+running power of the base.
 A float decides a digit only in ``_log_digits``, under an error bound its
 caller supplies, so exact powers of the base come out right.
 
@@ -380,9 +381,25 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
 
 
 def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
-    """Leading digits of nonzero integers, by p, the largest power of the base at most |v|,
-    carried over: a one-digit move steps p; a jump up re-seeds it relative to the power
-    carried (p * base**g, g from the bit lengths), any other jump relative to 1."""
+    """Leading digits of nonzero integers. A base 2**s up to MAX_BASE reads each |v| by
+    one shift, v >> s * ((bit length - 1) // s); any other base by p, the largest power
+    of the base at most |v|, carried over: a one-digit move steps p; a jump up re-seeds
+    it relative to the power carried (p * base**g, g from the bit lengths), any other
+    jump relative to 1."""
+    if 2 <= base <= MAX_BASE and not base & (base - 1):
+        return _shifted_digits(values, base.bit_length() - 1)
+    return _carried_power_digits(values, base)
+
+
+def _shifted_digits(values: Iterable[int], s: int) -> Iterator[int]:
+    for value in values:
+        v = abs(operator.index(value))
+        if v == 0:
+            raise ZeroValue("value is zero; no significant digit exists")
+        yield v >> s * ((v.bit_length() - 1) // s)
+
+
+def _carried_power_digits(values: Iterable[int], base: int) -> Iterator[int]:
     p = top = 0  # top = p * base; the first term seeds
     for value in values:
         v = abs(operator.index(value))

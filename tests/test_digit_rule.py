@@ -126,3 +126,28 @@ def test_from_digits_leaves_a_stream_error_alone():
 
     with pytest.raises(TypeError, match="^from the stream$"):
         DigitCensus.from_digits(stream(), 1, 10)
+
+
+@pytest.mark.parametrize("position, base", [(1, 10), (2, 10), (1, 16), (1, 100_000)])
+@pytest.mark.parametrize("bad", ["low", "base", "float"])
+def test_array_block_raises_what_from_digits_raises_on_its_items(position, base, bad):
+    lo = 1 if position == 1 else 0
+    items = [lo, base - 1, lo + 1]
+    if bad == "float":
+        block = np.array(items, dtype=np.float64)
+    else:
+        items.insert(1, lo - 1 if bad == "low" else base)
+        block = np.array(items, dtype=np.int64)
+    with pytest.raises(DomainError) as expected:
+        DigitCensus.from_digits(block.tolist(), position, base)
+    for blocks in ([block], [np.array([lo, lo], dtype=np.int32), block], [[lo], block]):
+        with pytest.raises(DomainError) as raised:
+            DigitCensus.from_blocks(blocks, position, base)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_array_blocks_count_as_their_items():
+    blocks = [np.array([1, 9, 9], dtype=np.int64), [2, 9], np.array([], dtype=np.int64),
+              np.array([3, 1], dtype=np.uint8), np.array([True]), iter([4])]
+    items = [1, 9, 9, 2, 9, 3, 1, True, 4]
+    assert DigitCensus.from_blocks(blocks, 1, 10) == DigitCensus.from_digits(items, 1, 10)

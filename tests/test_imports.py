@@ -130,6 +130,12 @@ def test_import_loads_neither(module):
     (["expected", "--table", "probs"], ""),
     (["expected", "--table", "moments"], ""),
     (["generate", "fibonacci", "--terms", "200", "--census"], ""),
+    # The exact integer and rational series count their digits without numpy,
+    # whose import would cost more than these whole runs.
+    *[(["generate", *kind, "--census", "--base", base], "")
+      for kind in (["factorial", "--n", "300"], ["power-n", "--k", "5", "--n", "300"],
+                   ["power-alpha", "--alpha", "1.007", "--n", "300"])
+      for base in ("10", "16")],
     *[(["analyze", name, "--format", fmt, "--base", base], "")
       for name in ("prose.txt", "table.csv")
       for fmt in ("text", "json", "csv") for base in ("10", "16")],

@@ -7,18 +7,24 @@ certified float read of Pascal's rows against ``math.comb`` (and, past a
 few hundred rows, against rows built by the additive rule) in bases up to
 MAX_BASE, the odd-only sieve against a sieve over all integers, and the
 sieve's int64 read of the primes against the running-power reader in bases
-up to MAX_BASE."""
+up to MAX_BASE. The block census of primes and Pascal equals a count of
+their public int streams, and ``generate`` prints, as its stream and its
+census, the exact digits of every kind's values."""
 
 import bisect
+import contextlib
+import io
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 import pytest
 
-from benfordkit import sequences
+from benfordkit import cli, sequences
 from benfordkit.errors import DomainError, ZeroValue
+from benfordkit.gof import DigitCensus
 from benfordkit.sequences import (
     SequenceSpec, alpha_power_digits, pascal_digits, prime_digits, prime_values)
 from benfordkit.significand import MAX_BASE, _first_digits, extract_digits_rational
@@ -277,3 +283,73 @@ class TestSieveDifferential:
     @example(121)
     def test_matches_sieve_over_all_integers(self, bound):
         assert list(prime_values(bound)) == _plain_sieve(bound)
+
+
+_BASES = st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE))
+
+
+@st.composite
+def _block_cases(draw):
+    """A primes spec below 2..10**5 (bases above the bound too) or a Pascal
+    spec of 1..400 rows, in a base up to MAX_BASE."""
+    if draw(st.booleans()):
+        return SequenceSpec("primes", {"below": draw(st.integers(2, 10**5))}, draw(_BASES))
+    return SequenceSpec("pascal", {"rows": draw(st.integers(1, 400))}, draw(_BASES))
+
+
+class TestBlockCensusDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(_block_cases())
+    @example(SequenceSpec("primes", {"below": 2}, 10))
+    @example(SequenceSpec("primes", {"below": 100}, MAX_BASE))
+    @example(SequenceSpec("primes", {"below": 10**6}, 10))  # two blocks
+    @example(SequenceSpec("pascal", {"rows": 1}, 2))
+    @example(SequenceSpec("pascal", {"rows": 400}, MAX_BASE))
+    def test_matches_a_count_of_the_public_stream(self, spec):
+        public = {"primes": prime_digits, "pascal": pascal_digits}[spec.kind]
+        tally = Counter(public(*spec.params.values(), spec.base))
+        census = DigitCensus.from_blocks(spec.digit_blocks(), 1, spec.base)
+        assert census.counts == tuple(tally[d] for d in census.support)
+
+    def test_blocks_are_arrays_in_stream_order(self):
+        spec = SequenceSpec("pascal", {"rows": 700}, 10)
+        blocks = list(spec.digit_blocks())
+        assert len(blocks) > 1 and all(block.dtype.kind == "i" for block in blocks)
+        assert np.concatenate(blocks).tolist() == list(pascal_digits(700, 10))
+
+
+def _printed(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@st.composite
+def _printed_cases(draw):
+    """A spec of any kind, at sizes an exact oracle reads in milliseconds, in
+    a base up to MAX_BASE."""
+    kind = draw(st.sampled_from(sorted(sequences._SERIES)))
+    if kind == "power_alpha":
+        params = {"alpha": draw(st.sampled_from(("1.007", "3/2", "16", "1000001/1000000"))),
+                  "n": draw(st.integers(1, 300))}
+    else:
+        params = {name: draw(values) for name, values in _INTEGER_SERIES[kind].items()}
+    return SequenceSpec(kind, params, draw(_BASES))
+
+
+class TestPrintedStreamDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(_printed_cases())
+    @example(SequenceSpec("primes", {"below": 20000}, 7))
+    @example(SequenceSpec("pascal", {"rows": 90}, 16))
+    def test_stream_and_census_are_the_exact_digits(self, spec):
+        values = spec.value_stream()
+        exact = [extract_digits_rational(v.numerator, v.denominator, 1, spec.base).first
+                 if isinstance(v, Fraction) else _first(v, spec.base) for v in values]
+        argv = ["generate", spec.kind.replace("_", "-"), "--base", str(spec.base),
+                *(x for key, value in spec.params.items() for x in (f"--{key}", str(value)))]
+        assert _printed(argv) == "".join(f"{d}\n" for d in exact)
+        tally = Counter(exact)
+        assert _printed([*argv, "--census"]) == "digit,count\n" + "".join(
+            f"{d},{tally[d]}\n" for d in range(1, spec.base))

@@ -1,7 +1,8 @@
 """Differential tests of the exact integer log and rational digit extraction
 against a pure-integer oracle, over bases 2-64 and exponents -400..400, of
 the base-10 digit read against the exact Fraction path, and of the integer
-first digit and the integer stream reader against the rational path."""
+first digit and the integer stream reader against the rational path, and of
+the one-shift read in bases 2**s against ``extract_digits_bigint``."""
 
 import math
 import sys
@@ -11,14 +12,16 @@ import numpy as np
 import pytest
 
 from benfordkit import significand
-from benfordkit.errors import ZeroValue
+from benfordkit.errors import DomainError, ZeroValue
 from benfordkit.significand import (
+    MAX_BASE,
     MAX_EXTRACT_DIGITS,
     ExactDecimal,
     _first_digits,
     _integer_log,
     digit_at,
     extract_digits,
+    extract_digits_bigint,
     extract_digits_rational,
     first_digit,
 )
@@ -232,3 +235,50 @@ class TestStreamReaderDifferential:
             assert list(_first_digits([value, -1] * 5, 16)) == [leading_hex, 1] * 5
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def _power_of_two_streams(draw):
+    """A base 2**s in 2..64 and nonzero integers b**k and b**k +- 1, or of a
+    bit length that is a multiple of s (a top bit that is the last of a
+    base digit); some negative, some numpy integers."""
+    s = draw(st.integers(1, 6))
+    base, values = 2**s, []
+    for _ in range(draw(st.integers(1, 30))):
+        if draw(st.booleans()):
+            value = base ** draw(st.integers(0, 600)) + draw(st.sampled_from((-1, 0, 1)))
+        else:
+            bits = s * draw(st.integers(1, 600))
+            value = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        value = max(value, 1) * draw(st.sampled_from((1, -1)))
+        if -(2**63) <= value < 2**63 and draw(st.booleans()):
+            value = np.int64(value)
+        values.append(value)
+    return values, base
+
+
+class TestShiftReaderDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_power_of_two_streams())
+    def test_matches_bigint_extraction(self, case):
+        values, base = case
+        assert list(_first_digits(values, base)) == [
+            extract_digits_bigint(int(v), 1, base).first for v in values]
+
+    @pytest.mark.parametrize("base", [2**s for s in range(1, 17)])
+    def test_every_power_of_two_base_in_range_is_read_by_shift(self, base, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a power-of-two base left the shift read")
+
+        monkeypatch.setattr(significand, "_carried_power_digits", refuse)
+        values = [1, base - 1, base, (base - 1) * base**40 + 1]
+        assert list(_first_digits(values, base)) == [1, base - 1, 1, base - 1]
+
+    def test_zero_and_bases_out_of_range(self):
+        with pytest.raises(ZeroValue):
+            list(_first_digits([4, 0], 16))
+        assert first_digit(5, 2) == 1
+        # 2**17, the least power of two above MAX_BASE, takes the base rule.
+        for base in (0, 1, 1 << MAX_BASE.bit_length()):
+            with pytest.raises(DomainError, match="base"):
+                first_digit(5, base)
