@@ -94,15 +94,13 @@ class DigitCensus:
         """
         counts = list(cls.empty(position, base).counts)
         tally: Counter = Counter()
-        binned = None  # the bincount totals over 0..base-1, once an array comes
         for block in blocks:
             if hasattr(block, "tolist"):
                 if _in_range(block, position, base):
                     import numpy as np
 
-                    block_counts = np.bincount(block.astype(np.intp, copy=False),
-                                               minlength=base)
-                    binned = block_counts if binned is None else binned + block_counts
+                    block_counts = np.bincount(block.astype(np.intp, copy=False)).tolist()
+                    tally.update({d: c for d, c in enumerate(block_counts) if c})
                     continue
                 block = block.tolist()
             items = iter(block)
@@ -115,9 +113,6 @@ class DigitCensus:
                     raise
         for digit, count in tally.items():
             counts[digit_slot(digit, position, base)] += count
-        if binned is not None:
-            lo = _lowest_digit(position)
-            counts = [a + b for a, b in zip(counts, binned[lo:].tolist())]
         return cls(position, base, tuple(counts))
 
     @property

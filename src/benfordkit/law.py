@@ -22,11 +22,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .significand import MAX_EXTRACT_DIGITS, check_base, check_position, digit_slot, digit_support
+from .significand import check_base, check_position, digit_slot, digit_support
 
-# Deepest position with a marginal: the deepest that digit extraction
-# supports.
-MAX_POSITION = MAX_EXTRACT_DIGITS
 # Correlations sum over the 9 * 10**(j-2) prefixes of j - 1 digits; up to
 # j = 6 the integer products (10m + b)(10m + 10 - b) stay below 10**12.
 MAX_CORRELATION_POSITION = 6

@@ -7,11 +7,12 @@ big integers.
 
 The geometric series alpha**n is the delicate one: terms can sit next to
 digit boundaries d * base**k, where any floating-point shortcut can
-misclassify. It runs on a truncated-product interval held in the output
-base (at least 60 significant decimal digits' worth, with tracked
-floor/ceil error), so the leading digit is one integer division in every
-base; a digit is emitted only once both interval endpoints agree on it,
-and the rare uncertified term falls back to exact big-rational powering.
+misclassify. The loop in ``alpha_power_digits`` runs a truncated-product
+bracket held in the output base (at least 60 significant decimal digits'
+worth, with tracked floor/ceil error), so the leading digit is one integer
+division in every base; a digit is emitted only once both bracket ends
+agree on it, and the rare uncertified term falls back to exact big-rational
+powering.
 
 The integer series are read by their structure. The primes come from one
 sieve over the odd numbers as an int64 array, exact because they stay
@@ -315,69 +316,50 @@ def alpha_power_values(alpha: AlphaLike, n_max: int) -> Iterator[Fraction]:
         yield x
 
 
-class _ProductInterval:
-    """Running truncated product bracketing alpha**n in the output base.
-
-    Keeps lo <= unit * alpha**n / base**shift <= hi for an implicit integer
-    shift, with lo in [unit, base*unit) and unit = 10**(PRODUCT_DIGITS - 1)
-    standing for 1. The leading base digit of alpha**n is then lo // unit
-    whenever hi agrees on it. Floor/ceil division widens the bracket by at
-    most one in its last place per step, so after desk-scale runs the
-    bracket is still dozens of digits tighter than any first-digit decision
-    needs. When alpha and the base are powers of one integer (16 or 4 in
-    base 16), both endpoints stay unit times a power of it, exactly.
-    """
-
-    __slots__ = ("p", "q", "base", "unit", "lo", "hi")
-
-    def __init__(self, p: int, q: int, base: int):
-        self.p, self.q, self.base = p, q, base
-        self.unit = self.lo = self.hi = 10 ** (PRODUCT_DIGITS - 1)
-
-    def step(self) -> None:
-        base, top = self.base, self.base * self.unit
-        lo = (self.lo * self.p) // self.q
-        hi = -((-self.hi * self.p) // self.q)
-        if lo >= top:
-            # Drop whole base digits: a lower bound on their count from the
-            # bit lengths (lo / top > 2**(difference - 1)) in one division,
-            # then single digits. Nested floor (and ceil) divisions compose
-            # exactly, so the bracket is the one a single division would give.
-            excess = _exponent_below(lo.bit_length() - top.bit_length() - 1, base)
-            if excess > 0:
-                scale = base**excess
-                lo //= scale
-                hi = -((-hi) // scale)
-            while lo >= top:
-                lo //= base
-                hi = -((-hi) // base)
-        self.lo, self.hi = lo, hi
-
-    def certified_digit(self) -> int | None:
-        """Leading base digit if both endpoints agree on it, else None."""
-        d = self.lo // self.unit
-        return d if self.hi // self.unit == d else None
-
-
 def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator[int]:
     """First base digits of alpha**n for n = 1..n_max, every digit certified.
 
     ``alpha`` may be a Fraction, an integer, or an exact string such as
     "1.007" or "1007/1000" (floats are taken at their exact binary value).
+
+    One loop runs a truncated product in the output base. It keeps
+    lo <= unit * alpha**n / base**shift <= hi for an implicit integer shift,
+    with lo in [unit, base*unit) and unit = 10**(PRODUCT_DIGITS - 1) standing
+    for 1. The leading base digit of alpha**n is then lo // unit whenever hi
+    agrees on it; otherwise the term is read exactly. Floor/ceil division
+    widens the bracket by at most one in its last place per step, so after
+    desk-scale runs the bracket is still dozens of digits tighter than any
+    first-digit decision needs. When alpha and the base are powers of one
+    integer (16 or 4 in base 16), both ends stay unit times a power of it,
+    exactly.
     """
     a = _as_ratio(alpha)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     check_base(base)
-    interval = _ProductInterval(a.numerator, a.denominator, base)
+    p, q = a.numerator, a.denominator
 
     def gen() -> Iterator[int]:
+        unit = lo = hi = 10 ** (PRODUCT_DIGITS - 1)
+        top = base * unit
         for n in range(1, n_max + 1):
-            interval.step()
-            d = interval.certified_digit()
-            if d is None:
-                d = _exact_alpha_digit(a, n, base)
-            yield d
+            lo = lo * p // q
+            hi = -(-hi * p // q)
+            if lo >= top:
+                # Drop whole base digits: a lower bound on their count from
+                # the bit lengths (lo / top > 2**(difference - 1)) in one
+                # division, then single digits, counted in scale. Nested
+                # floor divisions compose exactly, so lo is what one division
+                # by scale gives, as hi is.
+                excess = _exponent_below(lo.bit_length() - top.bit_length() - 1, base)
+                scale = base ** max(0, excess)
+                lo //= scale
+                while lo >= top:
+                    lo //= base
+                    scale *= base
+                hi = -(-hi // scale)
+            d = lo // unit
+            yield d if hi // unit == d else _exact_alpha_digit(a, n, base)
 
     return gen()
 

@@ -7,7 +7,6 @@ import pytest
 from benfordkit import law
 from benfordkit.errors import DomainError
 from benfordkit.law import (
-    MAX_POSITION,
     digit_correlation,
     first_digit_distribution,
     first_digit_prob,
@@ -16,6 +15,7 @@ from benfordkit.law import (
     moments,
     tvd_from_uniform,
 )
+from benfordkit.significand import MAX_EXTRACT_DIGITS
 
 # Reference values for the digit-law statistics, verified independently
 # by brute-force summation before being frozen here.
@@ -130,7 +130,7 @@ class TestMarginal:
         oracle = math.fsum(math.log10(1 + 1 / (10 * d)) for d in range(1, 10))
         assert marginal_distribution(2).prob(0) == pytest.approx(oracle, abs=1e-14)
 
-    @pytest.mark.parametrize("k", range(1, MAX_POSITION + 1))
+    @pytest.mark.parametrize("k", range(1, MAX_EXTRACT_DIGITS + 1))
     def test_sums_to_one(self, k):
         total = math.fsum(marginal_distribution(k).probabilities)
         assert abs(total - 1.0) < 1e-12
@@ -149,14 +149,14 @@ class TestMarginal:
         with pytest.raises(DomainError):
             marginal_distribution(0)
         with pytest.raises(DomainError):
-            marginal_distribution(MAX_POSITION + 1)
+            marginal_distribution(MAX_EXTRACT_DIGITS + 1)
 
     def test_position_one_in_any_base_is_first_digit_law(self):
         for base in range(2, 65):
             assert marginal_distribution(1, base) == first_digit_distribution(base)
 
-    @pytest.mark.parametrize("k, base", [(2, 16), (3, 2), (MAX_POSITION, 7), (0, 16),
-                                         (MAX_POSITION + 1, 16), (2, 1)])
+    @pytest.mark.parametrize("k, base", [(2, 16), (3, 2), (MAX_EXTRACT_DIGITS, 7), (0, 16),
+                                         (MAX_EXTRACT_DIGITS + 1, 16), (2, 1)])
     def test_deep_positions_are_base_ten_only(self, k, base):
         # Checked before the position and the base themselves.
         with pytest.raises(DomainError, match="^deep-position tables are base 10 only$"):
@@ -217,7 +217,7 @@ def _law_60_digits(k):
 class TestDeepPositionsAgainst60Digits:
     # Past k = 8 every P_k(d) is within 1e-8 of 1/10, so the distance to
     # uniform must be taken before the probabilities are rounded to doubles.
-    @pytest.mark.parametrize("k", range(2, MAX_POSITION + 1))
+    @pytest.mark.parametrize("k", range(2, MAX_EXTRACT_DIGITS + 1))
     def test_marginal_moments_and_tvd(self, k):
         probs, mean, var, tvd = _law_60_digits(k)
         assert marginal_distribution(k).probabilities == tuple(probs)

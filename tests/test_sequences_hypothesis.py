@@ -1,15 +1,16 @@
-"""Differential tests of the series digit streams against exact
-big-rational extraction, over bases 2-64: the certified alpha**n stream on
+"""Differential tests of the series digit streams against exact big-rational
+extraction: the certified alpha**n stream, in bases up to MAX_BASE, on
 alphas on, next to and far from powers of the base, and every integer
-series read by the running-power reader. Each series read by its structure
-has its own: the running-power reader over jumps of up to 400 digits, the
-certified float read of Pascal's rows against ``math.comb`` (and, past a
-few hundred rows, against rows built by the additive rule) in bases up to
-MAX_BASE, the odd-only sieve against a sieve over all integers, and the
-sieve's int64 read of the primes against the running-power reader in bases
-up to MAX_BASE. The block census of primes and Pascal equals a count of
-their public int streams, and ``generate`` prints, as its stream and its
-census, the exact digits of every kind's values."""
+series, in bases 2-64, read by the running-power reader. Each series read
+by its structure has its own: the running-power reader over jumps of up to
+400 digits, the certified float read of Pascal's rows against
+``math.comb`` (and, past a few hundred rows, against rows built by the
+additive rule) in bases up to MAX_BASE, the odd-only sieve against a sieve
+over all integers, and the sieve's int64 read of the primes against the
+running-power reader in bases up to MAX_BASE. The block census of primes
+and Pascal equals a count of their public int streams, and ``generate``
+prints, as its stream and its census, the exact digits of every kind's
+values."""
 
 import bisect
 import contextlib
@@ -36,17 +37,23 @@ given, settings, example = hypothesis.given, hypothesis.settings, hypothesis.exa
 # Largest alpha**n numerator, in decimal digits, an example may reach; it
 # keeps the exact oracle to a few milliseconds a term.
 MAX_TERM_DIGITS = 30_000
+_BASES = st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE))
 
 
 @st.composite
 def _cases(draw):
-    """(alpha, n, base): alpha an exact power of the base, 1 + 10**-m, or a
-    ratio p/q of integers of up to 300 digits; n <= 300, fewer when the
-    terms would pass MAX_TERM_DIGITS."""
-    base = draw(st.integers(2, 64))
-    kind = draw(st.sampled_from(("power", "near_one", "ratio")))
+    """(alpha, n, base): alpha an exact power of the base, next to one
+    (base**k * (1 +- 10**-m), so terms sit next to digit boundaries and a
+    step drops k base digits), 1 + 10**-m, or a ratio p/q of integers of up
+    to 300 digits; n <= 300, fewer when the terms would pass
+    MAX_TERM_DIGITS."""
+    base = draw(_BASES)
+    kind = draw(st.sampled_from(("power", "near_power", "near_one", "ratio")))
     if kind == "power":
         alpha = Fraction(base) ** draw(st.integers(1, 4))
+    elif kind == "near_power":
+        nudge = Fraction(draw(st.sampled_from((-1, 1))), 10 ** draw(st.integers(5, 40)))
+        alpha = Fraction(base) ** draw(st.integers(1, 4)) * (1 + nudge)
     elif kind == "near_one":
         alpha = 1 + Fraction(1, 10 ** draw(st.integers(1, 30)))
     else:
@@ -69,6 +76,8 @@ def _exact_digits(alpha: Fraction, n: int, base: int) -> list[int]:
 class TestAlphaPowerDifferential:
     @settings(max_examples=100, deadline=None)
     @given(_cases())
+    @example((100 * (1 - Fraction(1, 10**5)), 300, 10))
+    @example((Fraction(MAX_BASE) ** 3 * (1 + Fraction(1, 10**40)), 300, MAX_BASE))
     def test_matches_exact_rational_extraction(self, case):
         alpha, n, base = case
         assert list(alpha_power_digits(alpha, n, base)) == _exact_digits(alpha, n, base)
@@ -283,9 +292,6 @@ class TestSieveDifferential:
     @example(121)
     def test_matches_sieve_over_all_integers(self, bound):
         assert list(prime_values(bound)) == _plain_sieve(bound)
-
-
-_BASES = st.one_of(st.integers(2, 64), st.integers(65, MAX_BASE))
 
 
 @st.composite
