@@ -94,13 +94,13 @@ class DigitCensus:
         """
         counts = list(cls.empty(position, base).counts)
         tally: Counter = Counter()
+        binned = 0  # the arrays' np.bincount totals over 0..base-1, once one comes
         for block in blocks:
             if hasattr(block, "tolist"):
                 if _in_range(block, position, base):
                     import numpy as np
 
-                    block_counts = np.bincount(block.astype(np.intp, copy=False)).tolist()
-                    tally.update({d: c for d, c in enumerate(block_counts) if c})
+                    binned += np.bincount(block.astype(np.intp, copy=False), minlength=base)
                     continue
                 block = block.tolist()
             items = iter(block)
@@ -113,6 +113,8 @@ class DigitCensus:
                     raise
         for digit, count in tally.items():
             counts[digit_slot(digit, position, base)] += count
+        if hasattr(binned, "tolist"):
+            counts = (binned[_lowest_digit(position):] + counts).tolist()
         return cls(position, base, tuple(counts))
 
     @property

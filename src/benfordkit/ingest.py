@@ -5,16 +5,16 @@ scientific notation included -- and parses it exactly, so 0.150 counts a
 first significant digit of 1 rather than a leading character of 0, and
 surrounding prose never causes an error. Tokens glued to letters ("A4",
 "v2.0") are not numbers and are left alone. What counts as standalone is
-decided in one place, the token pattern (``significand.token_pattern``). A
+decided in one place, the text scanner (``significand._SCAN``). A
 table cell is a token when the token grammar matches all of it.
 
 The token records (``scan_text``, ``read_table``) and the censuses
-(``census_from_text``, ``census_from_table``) match the same grammar: the
+(``census_from_text``, ``census_from_table``) match the same patterns: the
 records run the scanner over each line, for line numbers, and the text
 census once over the whole text. The censuses count each digit straight
-from its match, with no record built. Their patterns also capture the
-first significant digit where it follows only ASCII zeros and a point, so
-in base 10 at position 1 such a token needs no digit parsed; other tokens,
+from its match, with no record built. The patterns also capture the first
+significant digit where it follows only ASCII zeros and a point, so in
+base 10 at position 1 such a token needs no digit parsed; other tokens,
 zeros among them, are read off their written digits, the exponent never
 read.
 """
@@ -29,8 +29,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import DomainError, EncodingError, FormatError, MissingColumn
 from .gof import DigitCensus, count_digits
-from .significand import (_LEAD_SCAN, _LEAD_TOKEN, _TOKEN, ExactDecimal, _decimal_from_match,
-                          _match_digit, token_pattern)
+from .significand import _SCAN, _TOKEN, ExactDecimal, _decimal_from_match, _match_digit
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,10 @@ def scan_text(
     """Yield every standalone numeric token in the text, line by line.
 
     Token boundaries require non-alphanumeric neighbors, so numbers inside
-    words are skipped; the token pattern decides. Non-numeric text never raises; the only possible
+    words are skipped; the scanner decides. Non-numeric text never raises; the only possible
     error is a bytes input that fails to decode.
     """
-    pattern = token_pattern(policy.thousands_separators)
+    pattern = _SCAN[policy.thousands_separators]
     for lineno, line in enumerate(_decode(data, encoding).splitlines(), start=1):
         for m in pattern.finditer(line):
             if m.group("alone") is not None:
@@ -237,7 +236,7 @@ def census_from_text(
     The pattern runs once over the whole text. A line break is neither
     alphanumeric nor part of a token, so the text has the standalone
     tokens of its lines (``scan_text``)."""
-    matches = _LEAD_SCAN[policy.thousands_separators].finditer(_decode(data, encoding))
+    matches = _SCAN[policy.thousands_separators].finditer(_decode(data, encoding))
     return _match_census((m for m in matches if m.group("alone") is not None),
                          policy, position, base)
 
@@ -254,7 +253,7 @@ def census_from_table(
     and one that is not a numeric token counts as an exclusion."""
     selected, rows = _table_rows(data, fmt, policy, encoding)
     cells = (row[idx].strip() for _, row in rows for idx in selected)
-    return _match_census(map(_LEAD_TOKEN[policy.thousands_separators].fullmatch, cells),
+    return _match_census(map(_TOKEN[policy.thousands_separators].fullmatch, cells),
                          policy, position, base)
 
 

@@ -12,7 +12,8 @@ bracket held in the output base (at least 60 significant decimal digits'
 worth, with tracked floor/ceil error), so the leading digit is one integer
 division in every base; a digit is emitted only once both bracket ends
 agree on it, and the rare uncertified term falls back to exact big-rational
-powering.
+powering. The base digits each step drops are one division by a power of
+the base from ``significand._power_at_most``, carried from term to term.
 
 The integer series are read by their structure. The primes come from one
 sieve over the odd numbers as an int64 array, exact because they stay
@@ -27,8 +28,8 @@ terms the bound cannot decide (every C(n, 0), exact hits such as C(5, 2) =
 mirrors the block's rows, C(n, r) = C(n, n - r). Recursions, factorials
 and n**k go through ``significand._first_digits``, one shift in a base
 2**s, else one running power of the base: a term one digit away steps it,
-a term several digits up (most factorials) re-seeds it from the power it
-carries.
+a term several digits up (most factorials) re-seeds it through
+``_power_at_most`` from the power it carries.
 
 Each kind's digit generator in ``_SERIES`` yields its digits in blocks, in
 stream order: the primes and Pascal as numpy int arrays, which
@@ -49,7 +50,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import DomainError
 from .significand import (
-    _exponent_below, _first_digits, _log_digits, check_base, extract_digits_rational)
+    _first_digits, _log_digits, _power_at_most, check_base, extract_digits_rational)
 
 PRIME_BOUND_CAP = 10**8
 # The most items in one block of digits: the primes' blocks hold this many,
@@ -326,7 +327,11 @@ def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator
     lo <= unit * alpha**n / base**shift <= hi for an implicit integer shift,
     with lo in [unit, base*unit) and unit = 10**(PRODUCT_DIGITS - 1) standing
     for 1. The leading base digit of alpha**n is then lo // unit whenever hi
-    agrees on it; otherwise the term is read exactly. Floor/ceil division
+    agrees on it; otherwise the term is read exactly. A step that takes lo
+    to top = base * unit or above drops whole base digits by one division
+    of each end by scale, the largest power of the base at most lo // unit.
+    The scale is carried: the next search starts one digit below it, so a
+    huge alpha builds its big power once per run. Floor/ceil division
     widens the bracket by at most one in its last place per step, so after
     desk-scale runs the bracket is still dozens of digits tighter than any
     first-digit decision needs. When alpha and the base are powers of one
@@ -342,21 +347,14 @@ def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator
     def gen() -> Iterator[int]:
         unit = lo = hi = 10 ** (PRODUCT_DIGITS - 1)
         top = base * unit
+        scale = 1
         for n in range(1, n_max + 1):
             lo = lo * p // q
             hi = -(-hi * p // q)
             if lo >= top:
-                # Drop whole base digits: a lower bound on their count from
-                # the bit lengths (lo / top > 2**(difference - 1)) in one
-                # division, then single digits, counted in scale. Nested
-                # floor divisions compose exactly, so lo is what one division
-                # by scale gives, as hi is.
-                excess = _exponent_below(lo.bit_length() - top.bit_length() - 1, base)
-                scale = base ** max(0, excess)
+                # Drop whole base digits, so that unit <= lo < top again.
+                scale = _power_at_most(lo // unit, base, scale // base)[0]
                 lo //= scale
-                while lo >= top:
-                    lo //= base
-                    scale *= base
                 hi = -(-hi // scale)
             d = lo // unit
             yield d if hi // unit == d else _exact_alpha_digit(a, n, base)

@@ -5,7 +5,9 @@ power-of-ten exponent), so digit extraction never rounds. Base 10 reads
 them off the stored digit string, at a cost set by the token's length and
 never by its exponent; other bases run on integer scalings of the value,
 and integers on one shift in a base 2**s, else on one division by a
-running power of the base.
+running power of the base. Every largest power of the base at most a value
+comes from one search, ``_power_at_most``: a bound from the bit lengths,
+then exact steps.
 A float decides a digit only in ``_log_digits``, under an error bound its
 caller supplies, so exact powers of the base come out right.
 
@@ -115,27 +117,20 @@ _SCANNER = r"""
       | (?: [^\W_] | [.,+-] )+ )                            # else pass the run ("v2.0")
 """
 
-# All indexed by the separator setting. The records (``parse_token``, the
-# token readers) use the bare grammar and scanner; the censuses use the
-# ``_LEAD`` forms, whose matches carry the ``lead`` group.
+# Both indexed by the separator setting and shared by records and censuses:
+# the grammar for a whole token and the text scanner, whose matches with
+# ``alone`` set are standalone tokens. The zero-width ``lead`` moves no span.
 _GRAMMARS = tuple(_GRAMMAR.format(integer=integer)
                   for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
 
 
-def _compile(template: str, lead: str) -> tuple[re.Pattern[str], ...]:
-    return tuple(re.compile(template.format(grammar=grammar, lead=lead), re.VERBOSE)
+def _compile(template: str) -> tuple[re.Pattern[str], ...]:
+    return tuple(re.compile(template.format(grammar=grammar, lead=_LEAD), re.VERBOSE)
                  for grammar in _GRAMMARS)
 
 
-_TOKEN = _compile("{grammar}", "")
-_LEAD_TOKEN = _compile("{lead}{grammar}", _LEAD)
-_SCAN = _compile(_SCANNER, "")
-_LEAD_SCAN = _compile(_SCANNER, _LEAD)
-
-
-def token_pattern(separators: bool = False) -> re.Pattern[str]:
-    """The text scanner: a match with ``alone`` set is a standalone token."""
-    return _SCAN[separators]
+_TOKEN = _compile("{lead}{grammar}")
+_SCAN = _compile(_SCANNER)
 
 
 @dataclass(frozen=True)
@@ -251,24 +246,31 @@ def _decimal_from_match(m: re.Match[str]) -> ExactDecimal:
     return ExactDecimal(sign, stripped, len(int_part) - lead_zeros + exp10)
 
 
-def _exponent_below(bits: int, base: int) -> int:
-    # floor(bits * log_base(2)) is the largest e with base**e <= 2**bits; the
-    # - 1 absorbs float rounding, so the result is a true lower bound.
-    return math.floor(bits / math.log2(base)) - 1
+def _power_at_most(v: int, base: int, seed: int = 1) -> tuple[int, int]:
+    """The largest seed * base**j (j >= 0) at most v > 0, and j; a seed of 0 or
+    above v counts as 1. As v / seed > 2**(bit-length difference - 1), that
+    bound's float log, less one for rounding, starts j at or below the answer;
+    exact steps go up from there, so a power of the base is found exactly."""
+    if not 0 < seed <= v:
+        seed = 1
+    j = max(0, math.floor((v.bit_length() - seed.bit_length() - 1) / math.log2(base)) - 1)
+    p = seed * base**j
+    while (top := p * base) <= v:
+        p = top
+        j += 1
+    return p, j
 
 
 def _integer_log(num: int, den: int, base: int) -> int:
-    """Largest e with base**e <= num/den, by exact integer comparison.
+    """Largest e with base**e <= num/den, in exact integers.
 
-    num/den > 2**(bit-length difference - 1) bounds e from below; exact
-    comparisons step it up, so the result is right even on or next to a
-    power of the base. A negative power moves to the other side of the
-    comparison, so every comparison stays in integers (base**-n is a float).
+    At or above 1 that is the largest base**e at most num // den. Below 1,
+    base**-e is the least power of the base at least den / num, one above
+    the largest at most (den - 1) // num.
     """
-    e = _exponent_below(num.bit_length() - den.bit_length() - 1, base) + 1
-    while (base**e * den <= num) if e >= 0 else (den <= num * base**-e):
-        e += 1
-    return e - 1
+    if num >= den:
+        return _power_at_most(num // den, base)[1]
+    return -1 - _power_at_most((den - 1) // num, base)[1]
 
 
 def extract_digits_rational(
@@ -383,9 +385,8 @@ def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigi
 def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:
     """Leading digits of nonzero integers. A base 2**s up to MAX_BASE reads each |v| by
     one shift, v >> s * ((bit length - 1) // s); any other base by p, the largest power
-    of the base at most |v|, carried over: a one-digit move steps p; a jump up re-seeds
-    it relative to the power carried (p * base**g, g from the bit lengths), any other
-    jump relative to 1."""
+    of the base at most |v|, carried over: a one-digit move steps p; any other jump
+    re-seeds it by ``_power_at_most``, from p * base after a jump up, else from 1."""
     if 2 <= base <= MAX_BASE and not base & (base - 1):
         return _shifted_digits(values, base.bit_length() - 1)
     return _carried_power_digits(values, base)
@@ -412,13 +413,9 @@ def _carried_power_digits(values: Iterable[int], base: int) -> Iterator[int]:
                 if v == 0:
                     raise ZeroValue("value is zero; no significant digit exists")
                 check_base(base)
-                # From top after a jump up, else from 1, by base**g: it is at most
-                # 2**(bit-length difference - 1), below v / seed.
-                seed = top if 0 < top <= v else 1
-                g = _exponent_below(v.bit_length() - seed.bit_length() - 1, base)
-                p = top = seed * base ** max(0, g)
-                while top <= v:
-                    p, top = top, top * base
+                # From top after a jump up, else from 1.
+                p = _power_at_most(v, base, top)[0]
+                top = p * base
         yield v // p
 
 

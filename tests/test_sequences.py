@@ -230,6 +230,25 @@ class TestAlphaPowerBracket:
         assert digits == [digit_of_fraction(x, base)
                           for x in alpha_power_values(10**300 + 7, 100)]
 
+    @pytest.mark.parametrize("ratio", [1, Fraction(3, 2)])
+    def test_huge_alpha_carries_its_scale(self, ratio, monkeypatch):
+        # Each term drops 999 digits, or 1000 when 1.5 carries the bracket
+        # past a power of ten; every search after the first starts one digit
+        # below the last scale, so none builds 10**999 from scratch.
+        steps = []
+        search = sequences._power_at_most
+
+        def recording(v, base, seed=1):
+            p, j = search(v, base, seed)
+            steps.append(j)
+            return p, j
+
+        monkeypatch.setattr(sequences, "_power_at_most", recording)
+        digits = list(alpha_power_digits(ratio * 10**999, 50, 10))
+        assert digits == [digit_of_fraction(Fraction(ratio) ** n) for n in range(1, 51)]
+        assert len(steps) == 50 and steps[0] == 999
+        assert all(j <= 2 for j in steps[1:])
+
 
 class TestSampledDigitConsistency:
     """Every generator's digits match exact extraction on independently

@@ -1,8 +1,10 @@
-"""Differential tests of the exact integer log and rational digit extraction
-against a pure-integer oracle, over bases 2-64 and exponents -400..400, of
-the base-10 digit read against the exact Fraction path, and of the integer
-first digit and the integer stream reader against the rational path, and of
-the one-shift read in bases 2**s against ``extract_digits_bigint``."""
+"""Differential tests of the power-of-the-base search against a plain
+multiply loop, of the exact integer log and rational digit extraction
+against a pure-integer oracle, over bases 2-MAX_BASE and exponents
+-400..400, of the base-10 digit read against the exact Fraction path, of
+the integer first digit and the integer stream reader against the rational
+path, and of the one-shift read in bases 2**s against
+``extract_digits_bigint``."""
 
 import math
 import sys
@@ -19,6 +21,7 @@ from benfordkit.significand import (
     ExactDecimal,
     _first_digits,
     _integer_log,
+    _power_at_most,
     digit_at,
     extract_digits,
     extract_digits_bigint,
@@ -58,14 +61,46 @@ def _oracle_digits(num: int, den: int, k: int, base: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
+def _oracle_power_at_most(v: int, base: int, seed: int) -> tuple[int, int]:
+    """The largest seed * base**j at most v, and j, one multiplication at a time."""
+    p, j = (seed if 0 < seed <= v else 1), 0
+    while p * base <= v:
+        p *= base
+        j += 1
+    return p, j
+
+
+@st.composite
+def _searches(draw):
+    """v at or next to root * base**j, and a seed of 0, 1, root, one above v
+    or any below root (far below v when j is large)."""
+    base = draw(st.integers(2, MAX_BASE))
+    root = draw(st.integers(1, 10**6))
+    v = max(1, root * base ** draw(st.integers(0, 300)) + draw(st.sampled_from((-1, 0, 1))))
+    seed = draw(st.one_of(st.sampled_from((0, 1, root, v + 1)), st.integers(1, root)))
+    return v, base, seed
+
+
+class TestPowerSearchDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_searches())
+    @hypothesis.example((MAX_BASE**40, MAX_BASE, MAX_BASE**39))
+    @hypothesis.example((MAX_BASE**40 - 1, MAX_BASE, MAX_BASE**40))
+    @hypothesis.example((2**64, 2, 0))
+    def test_matches_multiply_loop(self, case):
+        v, base, seed = case
+        assert _power_at_most(v, base, seed) == _oracle_power_at_most(v, base, seed)
+
+
 @st.composite
 def _rationals(draw):
     """num/den = (a/b) * base**power + delta / den, clustered on and next to
-    powers of the base."""
-    base = draw(st.integers(2, 64))
+    powers of the base; with a = b, below 1 the value is base**power or next
+    to it."""
+    base = draw(st.integers(2, MAX_BASE))
     power = draw(st.integers(-400, 400))
     a = draw(st.integers(1, 10**6))
-    b = draw(st.integers(1, 10**6))
+    b = draw(st.one_of(st.just(a), st.integers(1, 10**6)))
     num, den = (a * base**power, b) if power >= 0 else (a, b * base**-power)
     num += draw(st.sampled_from((-1, 0, 1)))
     return max(num, 1), den, base
@@ -74,6 +109,10 @@ def _rationals(draw):
 class TestIntegerLogDifferential:
     @settings(max_examples=300, deadline=None)
     @given(_rationals())
+    @hypothesis.example((1, 10**5, 10))
+    @hypothesis.example((2, 2 * 7**300, 7))
+    @hypothesis.example((1, MAX_BASE**40 - 1, MAX_BASE))
+    @hypothesis.example((1, MAX_BASE**40 + 1, MAX_BASE))
     def test_integer_log_matches_oracle(self, case):
         num, den, base = case
         assert _integer_log(num, den, base) == _oracle_log(num, den, base)
