@@ -68,10 +68,6 @@ class NumberToken:
     column: int
     raw: str
 
-    @property
-    def source(self) -> tuple[int, int]:
-        return (self.line, self.column)
-
 
 def _decode(data: str | bytes, encoding: str) -> str:
     """The text, without one leading byte-order mark (U+FEFF)."""

@@ -24,12 +24,12 @@ point: ``significand._log_digits`` reads log_b C(n, r) for a block of
 whole rows' half-row terms and keeps a digit only when a certified error
 bound puts the term's fractional part inside one digit's interval. The few
 terms the bound cannot decide (every C(n, 0), exact hits such as C(5, 2) =
-10) are read exactly from the row's integer prefix; then one index gather
-mirrors the block's rows, C(n, r) = C(n, n - r). Recursions, factorials
-and n**k go through ``significand._first_digits``, one shift in a base
-2**s, else one running power of the base: a term one digit away steps it,
-a term several digits up (most factorials) re-seeds it through
-``_power_at_most`` from the power it carries.
+10) are read exactly from ``math.comb``; then one index gather mirrors the
+block's rows, C(n, r) = C(n, n - r). Recursions, factorials and n**k go
+through ``significand._first_digits``, one shift in a base 2**s, else one
+running power of the base: a term one digit away steps it, a term several
+digits up (most factorials) re-seeds it through ``_power_at_most`` from the
+power it carries.
 
 Each kind's digit generator in ``_SERIES`` yields its digits in blocks, in
 stream order: the primes and Pascal as numpy int arrays, which
@@ -44,8 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import DomainError
@@ -181,28 +180,18 @@ def n_power_digits(k: int, n_max: int, base: int = 10) -> Iterator[int]:
     return _first_digits(n_power_values(k, n_max), base)
 
 
-def _pascal_prefix(n: int, m: int) -> list[int]:
-    """[C(n, 0), ..., C(n, m)], each term exactly from the last:
-    C(n, r + 1) = C(n, r) * (n - r) // (r + 1)."""
-    c, prefix = 1, [1]
-    for r in range(m):
-        c = c * (n - r) // (r + 1)
-        prefix.append(c)
-    return prefix
-
-
-def _mirrored(half: list, n: int) -> list:
-    """Row n of Pascal's triangle, or of its digits, from its first half:
-    C(n, r) = C(n, n - r)."""
-    return half + half[: (n + 1) // 2][::-1]
-
-
 def pascal_values(rows: int) -> Iterator[int]:
-    """Binomial coefficients C(n, r) for n < rows, rows read left to right."""
+    """Binomial coefficients C(n, r) for n < rows, rows read left to right:
+    each row's first half exactly, C(n, r + 1) = C(n, r) * (n - r) // (r + 1),
+    then mirrored, C(n, r) = C(n, n - r)."""
     if rows < 1:
         raise DomainError("rows must be >= 1")
     for n in range(rows):
-        yield from _mirrored(_pascal_prefix(n, n // 2), n)
+        c, half = 1, [1]
+        for r in range(n // 2):
+            c = c * (n - r) // (r + 1)
+            half.append(c)
+        yield from half + half[: (n + 1) // 2][::-1]
 
 
 # Largest error of the platform's log, in units in the last place, that the
@@ -226,9 +215,9 @@ def _pascal_digit_blocks(rows: int, base: int) -> Iterator:
     Each half-row term is read by ``_log_digits`` under the bound E at
     x = F[n] - F[r] - F[n - r], F[k] = log_b(k!) the running sum of
     ln(j) / ln(b). The terms it leaves unsure, among them every C(n, 0) and
-    exact hits such as C(5, 2) = 10, are read from their row's exact prefix,
-    built once up to the last of them. The block is then mirrored,
-    C(n, r) = C(n, n - r), by one gather from the half-row digits.
+    exact hits such as C(5, 2) = 10, are read from their exact integers,
+    ``math.comb(n, r)``. The block is then mirrored, C(n, r) = C(n, n - r),
+    by one gather from the half-row digits.
 
     E bounds the error of the gaps from frac(x) to its digit's two
     boundaries (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -263,7 +252,7 @@ def _pascal_digit_blocks(rows: int, base: int) -> Iterator:
         row, r = _row_places(block_rows, halves)
         digits, unsure = _log_digits(table[row] - table[r] - table[row - r], base, tolerance)
         if len(unsure):
-            terms = _exact_terms(row[unsure].tolist(), r[unsure].tolist())
+            terms = list(map(math.comb, row[unsure].tolist(), r[unsure].tolist()))
             digits[unsure] = list(_first_digits(terms, base))
         # Term r of row m is the half-row term min(r, m - r) of that row.
         row, r = _row_places(block_rows, block_rows + 1)
@@ -283,17 +272,6 @@ def _row_places(rows, lengths):
     place = np.arange(len(row), dtype=rows.dtype)
     place -= np.repeat(np.cumsum(lengths) - lengths, lengths)
     return row, place
-
-
-def _exact_terms(rows: list[int], places: list[int]) -> list[int]:
-    """C(n, r) for each pair of ``rows`` and ``places``, given in row order and
-    by rising r within a row, each row's prefix built once."""
-    terms: list[int] = []
-    for n, group in groupby(zip(rows, places), key=itemgetter(0)):
-        rs = [r for _, r in group]
-        prefix = _pascal_prefix(n, rs[-1])
-        terms += [prefix[r] for r in rs]
-    return terms
 
 
 AlphaLike = Union[Fraction, int, str, float]
@@ -357,16 +335,9 @@ def alpha_power_digits(alpha: AlphaLike, n_max: int, base: int = 10) -> Iterator
                 lo //= scale
                 hi = -(-hi // scale)
             d = lo // unit
-            yield d if hi // unit == d else _exact_alpha_digit(a, n, base)
+            yield d if hi // unit == d else extract_digits_rational(p**n, q**n, 1, base).first
 
     return gen()
-
-
-def _exact_alpha_digit(alpha: Fraction, n: int, base: int) -> int:
-    """Exact big-rational fallback for an uncertified term."""
-    return extract_digits_rational(
-        alpha.numerator**n, alpha.denominator**n, 1, base
-    ).first
 
 
 class _Series(NamedTuple):

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -205,6 +206,16 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+def _draws(spec: ProcessSpec) -> Iterator[np.ndarray | None]:
+    """Each step's raw draws, in step order and without end, from a new
+    generator on the run's seed; None at every step of a draw-free family.
+    The walk and every catch-up replay read this one stream."""
+    rng = _generator(spec.seed)
+    family, params = _NOISE[spec.noise.family], spec.noise.params
+    while True:
+        yield family.draw(rng, spec.walkers, *params) if family.draw else None
+
+
 class _LogSums:
     """Exact running sums of ln(xi) for the flagged walkers of one
     multiplicative run, as integers in units of 2**-_SCALE.
@@ -237,10 +248,8 @@ class _LogSums:
             self.sums = dict(zip(walkers, self._add(self.sums.values(), raw[walkers])))
 
     def _catch_up(self, walkers: list[int], step: int) -> None:
-        rng = _generator(self.spec.seed)
         sums = [0] * len(walkers)
-        for _ in range(step):
-            raw = self.family.draw(rng, self.spec.walkers, *self.spec.noise.params)
+        for raw in islice(_draws(self.spec), step):
             sums = self._add(sums, raw[walkers])
         self.sums.update(zip(walkers, sums))
 
@@ -313,14 +322,12 @@ def _walk(spec: ProcessSpec, each_step: Callable) -> Iterator[tuple[int, np.ndar
     """The one walk loop: hands every step's raw draws to `each_step` and
     yields (step, state vector) at each recorded step."""
     record = set(recorded_steps(spec))
-    rng = _generator(spec.seed)
     family, params = _NOISE[spec.noise.family], spec.noise.params
     multiplicative = spec.kind == "multiplicative"
     update = family.ln_xi if multiplicative else family.xi
     x0 = math.log(spec.initial_value) if multiplicative else float(spec.initial_value)
     state = np.full(spec.walkers, x0)
-    for t in range(1, spec.steps + 1):
-        raw = family.draw(rng, spec.walkers, *params) if family.draw else None
+    for t, raw in zip(range(1, spec.steps + 1), _draws(spec)):
         # Overflowing states become inf or nan; the census excludes them.
         with np.errstate(over="ignore", invalid="ignore"):
             state = state + update(raw, *params)

@@ -65,8 +65,8 @@ class TestScanText:
 
     def test_source_locations(self):
         tokens = list(scan_text("a 12\nbb 7"))
-        assert tokens[0].source == (1, 3)
-        assert tokens[1].source == (2, 4)
+        assert (tokens[0].line, tokens[0].column) == (1, 3)
+        assert (tokens[1].line, tokens[1].column) == (2, 4)
 
     def test_raw_reparses_to_same_value(self):
         text = "take 0.150, then 2,300 and -6.6e-3 or .25"
@@ -233,7 +233,7 @@ class TestTokenPipeline:
 
     def test_number_token_fields(self):
         token = NumberToken(parse_token("7"), line=3, column=9, raw="7")
-        assert token.source == (3, 9)
+        assert (token.line, token.column) == (3, 9)
 
 
 class TestBlankRecords:

@@ -189,14 +189,16 @@ class TestAlphaPowerBracket:
 
     @staticmethod
     def _count_fallbacks(monkeypatch):
+        """Count the exact big-rational reads of alpha**n: the bracket itself
+        never calls extract_digits_rational."""
         calls = []
-        exact = sequences._exact_alpha_digit
+        exact = sequences.extract_digits_rational
 
-        def counting(alpha, n, base):
-            calls.append(n)
-            return exact(alpha, n, base)
+        def counting(*args):
+            calls.append(args)
+            return exact(*args)
 
-        monkeypatch.setattr(sequences, "_exact_alpha_digit", counting)
+        monkeypatch.setattr(sequences, "extract_digits_rational", counting)
         return calls
 
     @pytest.mark.parametrize("alpha, base", [(16, 16), (2, 2), (8, 2), (1000, 10)])

@@ -218,6 +218,15 @@ class TestPascalDifferential:
     def test_long_rows_match_additive_rule(self, rows, base):
         assert list(pascal_digits(rows, base)) == _additive_rule_digits(rows, base)
 
+    @pytest.mark.parametrize("base", [2, 10, 16, 65, MAX_BASE])
+    def test_exact_path_reads_every_term(self, base, monkeypatch):
+        """With the float read certifying nothing, every half-row term,
+        mid-row ones included, is read by math.comb and mirrored into its
+        row's second half."""
+        monkeypatch.setattr(sequences, "_log_digits", lambda x, base, guard: (
+            np.zeros(len(x), dtype=np.intp), np.arange(len(x))))
+        assert list(pascal_digits(150, base)) == _additive_rule_digits(150, base)
+
     def test_exact_reads_are_rare(self, monkeypatch):
         """1000 rows in base 10: at most 1% of the terms are read exactly."""
         exact = []
