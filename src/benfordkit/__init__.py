@@ -29,9 +29,8 @@ _NAMES_BY_MODULE = {
         "census_from_tokens", "dump_tokens_csv", "read_table", "scan_text",
     ),
     "law": (
-        "DigitDistribution", "digit_correlation", "first_digit_distribution",
-        "first_digit_prob", "joint_prob", "marginal_distribution", "moments",
-        "tvd_from_uniform",
+        "DigitDistribution", "digit_correlation", "first_digit_prob", "joint_prob",
+        "marginal_distribution", "moments", "tvd_from_uniform",
     ),
     "report": ("ReportDocument", "build_report", "render"),
     "sequences": (
@@ -41,7 +40,7 @@ _NAMES_BY_MODULE = {
     ),
     "significand": (
         "ExactDecimal", "SignificantDigits", "digit_at", "extract_digits",
-        "extract_digits_bigint", "extract_digits_rational", "first_digit", "parse_token",
+        "extract_digits_rational", "first_digit", "parse_token",
     ),
     "simulate": (
         "NoiseSpec", "ProcessSpec", "convergence_curve", "curve_as_csv", "curve_as_json",

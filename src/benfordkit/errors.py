@@ -30,7 +30,7 @@ class InvalidNoise(BenfordError):
 
 
 class EncodingError(BenfordError):
-    """Input bytes could not be decoded with the declared text encoding."""
+    """Input bytes could not be decoded as UTF-8."""
 
 
 class FormatError(BenfordError):

@@ -69,29 +69,25 @@ class NumberToken:
     raw: str
 
 
-def _decode(data: str | bytes, encoding: str) -> str:
-    """The text, without one leading byte-order mark (U+FEFF)."""
+def _decode(data: str | bytes) -> str:
+    """The text, bytes read as UTF-8, without one leading byte-order mark (U+FEFF)."""
     if not isinstance(data, str):
         try:
-            data = data.decode(encoding)
-        except (UnicodeDecodeError, LookupError) as exc:
-            raise EncodingError(f"cannot decode input as {encoding}: {exc}") from exc
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"cannot decode input as utf-8: {exc}") from exc
     return data.removeprefix("\ufeff")
 
 
-def scan_text(
-    data: str | bytes,
-    policy: ScanPolicy = ScanPolicy(),
-    encoding: str = "utf-8",
-) -> Iterator[NumberToken]:
+def scan_text(data: str | bytes, policy: ScanPolicy = ScanPolicy()) -> Iterator[NumberToken]:
     """Yield every standalone numeric token in the text, line by line.
 
     Token boundaries require non-alphanumeric neighbors, so numbers inside
     words are skipped; the scanner decides. Non-numeric text never raises; the only possible
-    error is a bytes input that fails to decode.
+    error is a bytes input that is not UTF-8.
     """
     pattern = _SCAN[policy.thousands_separators]
-    for lineno, line in enumerate(_decode(data, encoding).splitlines(), start=1):
+    for lineno, line in enumerate(_decode(data).splitlines(), start=1):
         for m in pattern.finditer(line):
             if m.group("alone") is not None:
                 yield NumberToken(value=_decimal_from_match(m), line=lineno,
@@ -111,10 +107,7 @@ def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
 
 
 def _table_rows(
-    data: str | bytes,
-    fmt: str,
-    policy: ScanPolicy,
-    encoding: str,
+    data: str | bytes, fmt: str, policy: ScanPolicy
 ) -> tuple[list[int], Iterator[tuple[int, list[str]]]]:
     """The selected table columns, and every row after the header with its
     row number.
@@ -126,7 +119,7 @@ def _table_rows(
     """
     if fmt not in ("csv", "tsv"):
         raise FormatError(f"unsupported table format {fmt!r}")
-    text = _decode(data, encoding)
+    text = _decode(data)
     reader = csv.reader(io.StringIO(text, newline=""), delimiter="," if fmt == "csv" else "\t")
     records = _records(reader)
     _, header = next(records, (None, None))
@@ -158,10 +151,7 @@ def _table_rows(
 
 
 def read_table(
-    data: str | bytes,
-    fmt: str = "csv",
-    policy: ScanPolicy = ScanPolicy(),
-    encoding: str = "utf-8",
+    data: str | bytes, fmt: str = "csv", policy: ScanPolicy = ScanPolicy()
 ) -> Iterator[NumberToken]:
     """Yield numeric tokens from the selected columns of a delimited file.
 
@@ -170,7 +160,7 @@ def read_table(
     that are not numeric tokens are skipped here; ``census_from_table``
     counts them as exclusions.
     """
-    selected, rows = _table_rows(data, fmt, policy, encoding)
+    selected, rows = _table_rows(data, fmt, policy)
     cell_token = _TOKEN[policy.thousands_separators].fullmatch
     for rowno, row in rows:
         for idx in selected:
@@ -225,14 +215,13 @@ def census_from_text(
     policy: ScanPolicy = ScanPolicy(),
     position: int = 1,
     base: int = 10,
-    encoding: str = "utf-8",
 ) -> DigitCensus:
     """One-stop scan: text in, digit census out.
 
     The pattern runs once over the whole text. A line break is neither
     alphanumeric nor part of a token, so the text has the standalone
     tokens of its lines (``scan_text``)."""
-    matches = _SCAN[policy.thousands_separators].finditer(_decode(data, encoding))
+    matches = _SCAN[policy.thousands_separators].finditer(_decode(data))
     return _match_census((m for m in matches if m.group("alone") is not None),
                          policy, position, base)
 
@@ -243,11 +232,10 @@ def census_from_table(
     policy: ScanPolicy = ScanPolicy(),
     position: int = 1,
     base: int = 10,
-    encoding: str = "utf-8",
 ) -> DigitCensus:
     """One-stop table read; every selected cell is an item of the census,
     and one that is not a numeric token counts as an exclusion."""
-    selected, rows = _table_rows(data, fmt, policy, encoding)
+    selected, rows = _table_rows(data, fmt, policy)
     cells = (row[idx].strip() for _, row in rows for idx in selected)
     return _match_census(map(_TOKEN[policy.thousands_separators].fullmatch, cells),
                          policy, position, base)

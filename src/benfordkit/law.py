@@ -55,14 +55,6 @@ def first_digit_prob(d: int, base: int = 10) -> float:
     return math.log1p(1.0 / operator.index(d)) / math.log(base)
 
 
-def first_digit_distribution(base: int = 10) -> DigitDistribution:
-    """The full first-digit law over {1, ..., base-1}."""
-    support = digit_support(1, base)
-    ln_base = math.log(base)
-    probs = tuple(math.log1p(1.0 / d) / ln_base for d in support)
-    return DigitDistribution(position=1, support=support, probabilities=probs)
-
-
 def joint_prob(digits: Sequence[int]) -> float:
     """Probability that the first k decimal digits are exactly ``digits``.
 
@@ -131,7 +123,9 @@ def marginal_distribution(k: int, base: int = 10) -> DigitDistribution:
     decimal only and come from the closed form in lnGamma differences.
     """
     if k == 1:
-        return first_digit_distribution(base)
+        support = digit_support(1, base)
+        ln_base = math.log(base)
+        return DigitDistribution(1, support, tuple(math.log1p(1.0 / d) / ln_base for d in support))
     if base != 10:
         raise DomainError("deep-position tables are base 10 only")
     return DigitDistribution(k, digit_support(k, 10), _closed_form(k)[0])
@@ -153,7 +147,7 @@ def tvd_from_uniform(k: int) -> float:
     """
     check_position(k)
     if k == 1:
-        probs = first_digit_distribution(10).probabilities
+        probs = marginal_distribution(1).probabilities
         return 0.5 * math.fsum(abs(p - 1.0 / 9) for p in probs)
     return _closed_form(k)[1]
 

@@ -182,12 +182,19 @@ class ExactDecimal:
         return parse_token(repr(number))
 
     def __str__(self) -> str:
-        dec = Decimal(
-            (0 if self.sign > 0 else 1,
-             tuple(int(c) for c in self.digits),
-             self.exponent - len(self.digits))
-        )
-        return str(dec)
+        """``str(Decimal)`` of the value, written out: C ``Decimal`` refuses an
+        exponent past about 10**18, which a 22-character token can spell."""
+        digits = self.digits if self.digits.isascii() else "".join(str(int(c)) for c in self.digits)
+        coefficient = digits.lstrip("0") or "0"
+        exponent = self.exponent - len(self.digits)
+        left = exponent + len(coefficient)  # the digits left of a plain point
+        sign = "-" if self.sign < 0 else ""
+        if exponent > 0 or left <= -6:
+            point = "." if len(coefficient) > 1 else ""
+            return f"{sign}{coefficient[0]}{point}{coefficient[1:]}E{left - 1:+d}"
+        if left <= 0:
+            return f"{sign}0.{'0' * -left}{coefficient}"
+        return sign + coefficient[:left] + (f".{coefficient[left:]}" if exponent else "")
 
 
 @dataclass(frozen=True)
@@ -373,13 +380,6 @@ def _match_digit(m: re.Match[str], position: int, base: int) -> int:
     int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")
     written = (int_part or "").replace(",", "") + (frac or lone_frac or "")
     return _decimal_digit(_decimal_significand(written, 0)[0], position)
-
-
-def extract_digits_bigint(value: int, k: int, base: int = 10) -> SignificantDigits:
-    """Same contract as extract_digits, for arbitrary-precision integers."""
-    if value == 0:
-        raise ZeroValue("value is zero; no significant digit exists")
-    return extract_digits_rational(abs(value), 1, k, base)
 
 
 def _first_digits(values: Iterable[int], base: int) -> Iterator[int]:

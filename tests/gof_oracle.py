@@ -63,7 +63,7 @@ def _check_testable(census: DigitCensus) -> np.ndarray:
 
 def benford_frequencies() -> np.ndarray:
     """Expected first-digit frequencies log10(1 + 1/n), n = 1..9."""
-    return np.asarray(law.first_digit_distribution(10).probabilities)
+    return np.asarray(law.marginal_distribution(1, 10).probabilities)
 
 
 def chi_square(census: DigitCensus) -> float:
@@ -81,7 +81,7 @@ def tvd_benford(census: DigitCensus) -> float:
         raise DomainError(
             f"d1 needs a first-digit census, got position {census.position}"
         )
-    expected = np.asarray(law.first_digit_distribution(census.base).probabilities)
+    expected = np.asarray(law.marginal_distribution(1, census.base).probabilities)
     deviations = np.abs(_frequencies(census) - expected)
     return 0.5 * math.fsum(deviations.tolist())
 
@@ -119,7 +119,7 @@ def _expected_frequencies(census: DigitCensus) -> Optional[list[float]]:
     if census.base == 10:
         return list(law.marginal_distribution(census.position).probabilities)
     if census.position == 1:
-        return list(law.first_digit_distribution(census.base).probabilities)
+        return list(law.marginal_distribution(1, census.base).probabilities)
     return None
 
 

@@ -27,10 +27,7 @@ from benfordkit.significand import ExactDecimal, parse_token
 
 
 def _iter_cells(
-    data: str | bytes,
-    fmt: str,
-    policy: ScanPolicy,
-    encoding: str,
+    data: str | bytes, fmt: str, policy: ScanPolicy
 ) -> Iterator[tuple[int, int, str]]:
     """Yield (row number, table column, cell text) for the selected columns.
 
@@ -39,7 +36,7 @@ def _iter_cells(
     """
     if fmt not in ("csv", "tsv"):
         raise FormatError(f"unsupported table format {fmt!r}")
-    text = _decode(data, encoding)
+    text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter="," if fmt == "csv" else "\t")
     header = next(reader, None)
     if header is None:
@@ -67,29 +64,25 @@ def _iter_cells(
 
 
 def read_table(
-    data: str | bytes,
-    fmt: str = "csv",
-    policy: ScanPolicy = ScanPolicy(),
-    encoding: str = "utf-8",
+    data: str | bytes, fmt: str = "csv", policy: ScanPolicy = ScanPolicy()
 ) -> Iterator[NumberToken]:
     """Yield numeric tokens from the selected columns of a delimited file.
 
     The first row is a header. Cells that are not numeric tokens are
     skipped here; the census builders count them as exclusions.
     """
-    return _table_tokens(data, fmt, policy, encoding, [0])
+    return _table_tokens(data, fmt, policy, [0])
 
 
 def _table_tokens(
     data: str | bytes,
     fmt: str,
     policy: ScanPolicy,
-    encoding: str,
     non_numeric: list[int],
 ) -> Iterator[NumberToken]:
     """The tokens of ``read_table``; cells that are not numeric tokens are
     skipped and tallied in ``non_numeric[0]``."""
-    for rowno, colno, cell in _iter_cells(data, fmt, policy, encoding):
+    for rowno, colno, cell in _iter_cells(data, fmt, policy):
         try:
             value = parse_token(cell, separators=policy.thousands_separators)
         except MalformedToken:
@@ -130,10 +123,9 @@ def census_from_table(
     policy: ScanPolicy = ScanPolicy(),
     position: int = 1,
     base: int = 10,
-    encoding: str = "utf-8",
 ) -> DigitCensus:
     """One-stop table read; non-numeric cells count as exclusions."""
     non_numeric = [0]
-    tokens = _table_tokens(data, fmt, policy, encoding, non_numeric)
+    tokens = _table_tokens(data, fmt, policy, non_numeric)
     census = census_from_tokens(tokens, policy, position, base)
     return replace(census, exclusions=census.exclusions + non_numeric[0])

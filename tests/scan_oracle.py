@@ -55,18 +55,14 @@ def _skip_run(line: str, start: int) -> int:
     return max(i, start + 1)
 
 
-def scan_text(
-    data: str | bytes,
-    policy: ScanPolicy = ScanPolicy(),
-    encoding: str = "utf-8",
-) -> Iterator[NumberToken]:
+def scan_text(data: str | bytes, policy: ScanPolicy = ScanPolicy()) -> Iterator[NumberToken]:
     """Yield every standalone numeric token in the text, line by line.
 
     Token boundaries require non-alphanumeric neighbors, so numbers inside
     words are skipped. Non-numeric text never raises; the only possible
-    error is a bytes input that fails to decode.
+    error is a bytes input that is not UTF-8.
     """
-    text = _decode(data, encoding)
+    text = _decode(data)
     pattern = token_pattern(policy.thousands_separators)
     for lineno, line in enumerate(text.splitlines(), start=1):
         pos = 0

@@ -15,7 +15,7 @@ import pytest
 from benfordkit.errors import DomainError
 from benfordkit.gof import DigitCensus
 from benfordkit.law import first_digit_prob, joint_prob, marginal_distribution
-from benfordkit.significand import digit_slot, digit_support
+from benfordkit.significand import MAX_BASE, digit_slot, digit_support
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -88,6 +88,26 @@ def test_every_site_applies_the_same_digit_rule(case):
     if "joint_prob" in outcomes:
         m = int("1" * (position - 1) + str(value))
         assert outcomes["joint_prob"] == math.log1p(1.0 / m) / math.log(10)
+
+
+@st.composite
+def _bases_and_digits(draw):
+    base = draw(st.integers(2, MAX_BASE))
+    return base, draw(st.lists(st.integers(1, base - 1), max_size=20)) + [1, base - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bases_and_digits())
+@hypothesis.example((10, range(1, 10)))
+@hypothesis.example((MAX_BASE, range(1, MAX_BASE)))
+def test_position_one_law_is_first_digit_prob_in_every_base(case):
+    # The two spellings of log_base(1 + 1/d), bit for bit. The unwrapped
+    # function leaves the unbounded cache as it was.
+    base, digits = case
+    dist = marginal_distribution.__wrapped__(1, base)
+    assert (dist.position, dist.support) == (1, digit_support(1, base))
+    for d in digits:
+        assert dist.probabilities[d - 1] == first_digit_prob(d, base), d
 
 
 @pytest.mark.parametrize("digit, position, base, message", [

@@ -24,24 +24,24 @@ EXPORTS = {
             "GofReport", "build_census", "full_report", "tvd_benford"},
     "ingest": {"NumberToken", "ScanPolicy", "census_from_table", "census_from_text",
                "census_from_tokens", "dump_tokens_csv", "read_table", "scan_text"},
-    "law": {"DigitDistribution", "digit_correlation", "first_digit_distribution",
-            "first_digit_prob", "joint_prob", "marginal_distribution", "moments",
-            "tvd_from_uniform"},
+    "law": {"DigitDistribution", "digit_correlation", "first_digit_prob", "joint_prob",
+            "marginal_distribution", "moments", "tvd_from_uniform"},
     "report": {"ReportDocument", "build_report", "render"},
     "sequences": {"SequenceSpec", "alpha_power_digits", "alpha_power_values",
                   "factorial_digits", "factorial_values", "fibonacci_digits",
                   "fibonacci_values", "n_power_digits", "n_power_values", "pascal_digits",
                   "pascal_values", "prime_digits", "prime_values"},
     "significand": {"ExactDecimal", "SignificantDigits", "digit_at", "extract_digits",
-                    "extract_digits_bigint", "extract_digits_rational", "first_digit",
-                    "parse_token"},
+                    "extract_digits_rational", "first_digit", "parse_token"},
     "simulate": {"NoiseSpec", "ProcessSpec", "convergence_curve", "curve_as_csv",
                  "curve_as_json", "run_ensemble"},
 }
 # Deleted exports, each with the submodule it was in; another function does
-# each one's job (full_report, str(ExactDecimal), run_ensemble).
+# each one's job (full_report, str(ExactDecimal), run_ensemble,
+# marginal_distribution(1, base), extract_digits_rational(abs(v), 1, k, base)).
 REMOVED = {"chi_square": "gof", "max_deviation": "gof", "expected_counts": "law",
-           "verify_report": "report", "format_token": "significand",
+           "first_digit_distribution": "law", "verify_report": "report",
+           "format_token": "significand", "extract_digits_bigint": "significand",
            "run_ensemble_partitioned": "simulate"}
 NAMES = set().union(*EXPORTS.values())
 # `import *` bound the submodules too, `datasets` among them.
@@ -50,7 +50,7 @@ MODULES = {*EXPORTS, "datasets"}
 
 class TestPublicSurface:
     def test_all_is_the_exported_names_and_submodules(self):
-        assert len(NAMES) == 63
+        assert len(NAMES) == 61
         assert len(benfordkit.__all__) == len(set(benfordkit.__all__))
         assert set(benfordkit.__all__) == NAMES | MODULES
 

@@ -8,7 +8,6 @@ from benfordkit import law
 from benfordkit.errors import DomainError
 from benfordkit.law import (
     digit_correlation,
-    first_digit_distribution,
     first_digit_prob,
     joint_prob,
     marginal_distribution,
@@ -91,7 +90,7 @@ class TestFirstDigitProb:
     @pytest.mark.parametrize("base", [1, 0, -3])
     def test_distribution_rejects_base_below_two(self, base):
         with pytest.raises(DomainError, match=f"^base must be >= 2, got {base}$"):
-            first_digit_distribution(base)
+            marginal_distribution(1, base)
 
 
 class TestJointProb:
@@ -150,10 +149,6 @@ class TestMarginal:
             marginal_distribution(0)
         with pytest.raises(DomainError):
             marginal_distribution(MAX_EXTRACT_DIGITS + 1)
-
-    def test_position_one_in_any_base_is_first_digit_law(self):
-        for base in range(2, 65):
-            assert marginal_distribution(1, base) == first_digit_distribution(base)
 
     @pytest.mark.parametrize("k, base", [(2, 16), (3, 2), (MAX_EXTRACT_DIGITS, 7), (0, 16),
                                          (MAX_EXTRACT_DIGITS + 1, 16), (2, 1)])

@@ -81,7 +81,7 @@ class TestReportDocument:
         doc = report.build_report(census)
         assert doc.gof is None
         assert report.to_json_dict(doc)["expected"] == [
-            report.round12(p) for p in law.first_digit_distribution(8).probabilities]
+            report.round12(p) for p in law.marginal_distribution(1, 8).probabilities]
 
     def test_unknown_format(self):
         with pytest.raises(Exception):

@@ -12,7 +12,7 @@ import pytest
 from benfordkit.errors import DomainError, MalformedToken, ZeroValue
 from benfordkit.gof import DigitCensus, build_census
 from benfordkit.ingest import census_from_text
-from benfordkit.law import first_digit_distribution, moments
+from benfordkit.law import marginal_distribution, moments
 from benfordkit.sequences import (
     SequenceSpec,
     alpha_power_digits,
@@ -27,7 +27,6 @@ from benfordkit.significand import (
     SignificantDigits,
     digit_at,
     extract_digits,
-    extract_digits_bigint,
     extract_digits_rational,
     first_digit,
     parse_token,
@@ -289,28 +288,28 @@ class TestFirstDigitPastStrLimit:
 
 class TestExtractBigint:
     def test_examples(self):
-        assert extract_digits_bigint(1024, 2, 10).digits == (1, 0)
-        assert extract_digits_bigint(120, 1, 10).digits == (1,)
+        assert extract_digits_rational(1024, 1, 2, 10).digits == (1, 0)
+        assert extract_digits_rational(120, 1, 1, 10).digits == (1,)
 
     def test_fibonacci_term_by_recursion_oracle(self):
         a, b = 1, 1
         for _ in range(29):
             a, b = b, a + b
         assert a == 832040
-        assert extract_digits_bigint(a, 1, 10).digits == (8,)
+        assert extract_digits_rational(a, 1, 1, 10).digits == (8,)
 
     def test_zero(self):
         with pytest.raises(ZeroValue):
-            extract_digits_bigint(0, 1, 10)
+            extract_digits_rational(0, 1, 1, 10)
 
     @pytest.mark.parametrize("base", [2, 3, 10, 16, 64])
     def test_exact_powers_of_base(self, base):
         # Boundary classification must be exact: b**m has first digit 1 and
         # exponent m; b**m - 1 has first digit base-1 and exponent m-1.
         for m in (1, 2, 5, 17, 40):
-            sig = extract_digits_bigint(base**m, 1, base)
+            sig = extract_digits_rational(base**m, 1, 1, base)
             assert (sig.first, sig.exponent) == (1, m)
-            sig = extract_digits_bigint(base**m - 1, 1, base)
+            sig = extract_digits_rational(base**m - 1, 1, 1, base)
             assert (sig.first, sig.exponent) == (base - 1, m - 1)
 
     def test_decimal_digits_match_str(self):
@@ -318,7 +317,7 @@ class TestExtractBigint:
         for _ in range(200):
             n = rng.randrange(1, 10**30)
             k = rng.randrange(1, 10)
-            digits = extract_digits_bigint(n, k, 10).digits
+            digits = extract_digits_rational(n, 1, k, 10).digits
             expect = (str(n) + "0" * k)[:k]
             assert "".join(map(str, digits)) == expect
 
@@ -341,9 +340,9 @@ class TestScaleShift:
         for _ in range(50):
             n = rng.randrange(1, 10**12)
             k = rng.randrange(1, 5)
-            sig = extract_digits_bigint(n, k, base)
+            sig = extract_digits_rational(n, 1, k, base)
             for m in (1, 3, 9):
-                scaled = extract_digits_bigint(n * base**m, k, base)
+                scaled = extract_digits_rational(n * base**m, 1, k, base)
                 assert scaled.digits == sig.digits
                 assert scaled.exponent == sig.exponent + m
 
@@ -363,8 +362,8 @@ class TestConcatenationConsistency:
             n = rng.randrange(1, 10**15)
             base = rng.choice([2, 8, 10, 16])
             k = rng.randrange(2, 8)
-            full = extract_digits_bigint(n, k, base)
-            prefix = extract_digits_bigint(n, k - 1, base)
+            full = extract_digits_rational(n, 1, k, base)
+            prefix = extract_digits_rational(n, 1, k - 1, base)
             assert full.digits[: k - 1] == prefix.digits
             assert full.exponent == prefix.exponent
 
@@ -423,7 +422,7 @@ class TestHelpers:
             census = build_census([10**5000, -big], 1, base)
             counts = [0] * (base - 1)
             for v in (10**5000, big):
-                counts[extract_digits_bigint(v, 1, base).first - 1] += 1
+                counts[extract_digits_rational(v, 1, 1, base).first - 1] += 1
             assert census.counts == tuple(counts)
 
     def test_str_rendering(self):
@@ -444,7 +443,7 @@ class TestDomainRules:
         "SequenceSpec": lambda base: SequenceSpec("primes", {"below": 10}, base),
         "ProcessSpec": lambda base: ProcessSpec(
             "multiplicative", NoiseSpec("constant", (2.0,)), 1, 1, base=base),
-        "first_digit_distribution": first_digit_distribution,
+        "marginal_distribution": lambda base: marginal_distribution(1, base),
     }
     POSITION_ENTRY_POINTS = {
         "digit_at": lambda k: digit_at(parse_token("5"), k),

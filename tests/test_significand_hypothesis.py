@@ -4,8 +4,10 @@ against a pure-integer oracle, over bases 2-MAX_BASE and exponents
 -400..400, of the base-10 digit read against the exact Fraction path, of
 the integer first digit and the integer stream reader against the rational
 path, and of the one-shift read in bases 2**s against
-``extract_digits_bigint``."""
+``extract_digits_rational``."""
 
+import _pydecimal
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -24,7 +26,6 @@ from benfordkit.significand import (
     _power_at_most,
     digit_at,
     extract_digits,
-    extract_digits_bigint,
     extract_digits_rational,
     first_digit,
 )
@@ -153,6 +154,38 @@ class TestDecimalReadDifferential:
         assert digit_at(value, k, 10) == exact.digits[k - 1]
 
 
+def _decimal_tuple(value: ExactDecimal) -> tuple[int, tuple[int, ...], int]:
+    return int(value.sign < 0), tuple(map(int, value.digits)), value.exponent - len(value.digits)
+
+
+@st.composite
+def _records_at_any_exponent(draw):
+    """Records with Unicode digits among some, exponents up to far past
+    the C Decimal's range and some just inside and outside it."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    if draw(st.booleans()):
+        digits = draw(st.text("0٣３", min_size=1, max_size=3)) + digits
+    exponent = draw(st.one_of(st.integers(-30, 30), st.integers(-(10**25), 10**25),
+                              st.sampled_from((10**18, 10**18 + 1, -(2 * 10**18), 2**62))))
+    return ExactDecimal(draw(st.sampled_from((1, -1))), digits, exponent)
+
+
+class TestStrDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(_decimals())
+    @hypothesis.example(ExactDecimal(-1, "000", 7))
+    @hypothesis.example(ExactDecimal(1, "0123", -4))
+    def test_matches_c_decimal(self, value):
+        assert str(value) == str(decimal.Decimal(_decimal_tuple(value)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(_records_at_any_exponent())
+    def test_matches_pure_python_decimal_at_any_exponent(self, value):
+        # C Decimal refuses an exponent past about 10**18; the pure-Python
+        # module has no such range and prints the same strings.
+        assert str(value) == str(_pydecimal.Decimal(_decimal_tuple(value)))
+
+
 @st.composite
 def _terms(draw, base, max_digits, e=None):
     """A nonzero integer of up to ``max_digits`` decimal digits; half of them
@@ -226,7 +259,6 @@ class TestFirstDigitDifferential:
         value = 7 * 10**1000 + 3
         leading_hex = int(hex(value)[2], 16)
         monkeypatch.setattr(significand, "extract_digits_rational", refuse)
-        monkeypatch.setattr(significand, "extract_digits_bigint", refuse)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -302,7 +334,7 @@ class TestShiftReaderDifferential:
     def test_matches_bigint_extraction(self, case):
         values, base = case
         assert list(_first_digits(values, base)) == [
-            extract_digits_bigint(int(v), 1, base).first for v in values]
+            extract_digits_rational(abs(int(v)), 1, 1, base).first for v in values]
 
     @pytest.mark.parametrize("base", [2**s for s in range(1, 17)])
     def test_every_power_of_two_base_in_range_is_read_by_shift(self, base, monkeypatch):
