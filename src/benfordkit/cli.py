@@ -278,8 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (BenfordError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BenfordError, OSError, ValueError, MemoryError) as exc:
+        print("error:", str(exc) or type(exc).__name__, file=sys.stderr)
         return EXIT_ERROR
 
 

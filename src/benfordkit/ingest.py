@@ -12,11 +12,11 @@ The token records (``scan_text``, ``read_table``) and the censuses
 (``census_from_text``, ``census_from_table``) match the same patterns: the
 records run the scanner over each line, for line numbers, and the text
 census once over the whole text. The censuses count each digit straight
-from its match, with no record built. The patterns also capture the first
-significant digit where it follows only ASCII zeros and a point, so in
-base 10 at position 1 such a token needs no digit parsed; other tokens,
-zeros among them, are read off their written digits, the exponent never
-read.
+from its match, with no record built. In base 10 at position 1 a token
+whose text, past its sign, ASCII zeros, point and commas, starts with an
+ASCII 1-9 has that first digit, with no digit parsed; other base-10
+tokens, zeros among them, are read off their written digits, the exponent
+never read.
 """
 
 from __future__ import annotations

@@ -144,10 +144,7 @@ def _prime_digit_blocks(bound: int, base: int) -> Iterator:
     import numpy as np
 
     primes = _sieve(bound)
-    powers = [1]
-    while powers[-1] * base < bound:
-        powers.append(powers[-1] * base)
-    powers = np.array(powers, dtype=np.int64)
+    powers = base ** np.arange(_power_at_most(bound - 1, base)[1] + 1, dtype=np.int64)
     for chunk in _chunks(primes):
         yield chunk // powers[np.searchsorted(powers, chunk, "right") - 1]
 

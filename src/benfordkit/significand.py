@@ -99,37 +99,28 @@ _GRAMMAR = r"""
     (?: [eE] (?P<exp>[+-]?\d+) )?
 """
 
-# The first significant digit, read where a token starts: ``lead`` is an
-# ASCII 1-9 reached over ASCII zeros and at most one point. Any other token
-# (a zero, Unicode digits, a comma among the zeros) leaves it unset and is
-# read from its digits. No possessive quantifier or atomic group: those
-# need Python 3.11.
-_LEAD = r"(?= (?: [+-]? 0* \.? 0* (?P<lead>[1-9]) )? )"
-
 # The text scanner on the same grammar. "Alphanumeric" is [^\W_], exactly
-# the characters str.isalnum accepts. A lead digit is read only in the
-# standalone branch: in the ``tok`` lookahead it would run at every text
-# position the grammar starts at.
+# the characters str.isalnum accepts.
 _SCANNER = r"""
     (?= (?P<tok> {grammar} ) )  # what search finds here; never re-entered
     (?! (?<=[^\W_]) [+-] )      # a sign alone touching a word: retry after it
-    (?: (?<![^\W_]) {lead} (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
-      | (?: [^\W_] | [.,+-] )+ )                            # else pass the run ("v2.0")
+    (?: (?<![^\W_]) (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
+      | (?: [^\W_] | [.,+-] )+ )                     # else pass the run ("v2.0")
 """
 
 # Both indexed by the separator setting and shared by records and censuses:
 # the grammar for a whole token and the text scanner, whose matches with
-# ``alone`` set are standalone tokens. The zero-width ``lead`` moves no span.
+# ``alone`` set are standalone tokens.
 _GRAMMARS = tuple(_GRAMMAR.format(integer=integer)
                   for integer in (r"\d+", r"\d{1,3}(?:,\d{3})+|\d+"))
 
 
 def _compile(template: str) -> tuple[re.Pattern[str], ...]:
-    return tuple(re.compile(template.format(grammar=grammar, lead=_LEAD), re.VERBOSE)
+    return tuple(re.compile(template.format(grammar=grammar), re.VERBOSE)
                  for grammar in _GRAMMARS)
 
 
-_TOKEN = _compile("{lead}{grammar}")
+_TOKEN = _compile("{grammar}")
 _SCAN = _compile(_SCANNER)
 
 
@@ -268,22 +259,17 @@ def _power_at_most(v: int, base: int, seed: int = 1) -> tuple[int, int]:
     return p, j
 
 
-def _integer_log(num: int, den: int, base: int) -> int:
-    """Largest e with base**e <= num/den, in exact integers.
-
-    At or above 1 that is the largest base**e at most num // den. Below 1,
-    base**-e is the least power of the base at least den / num, one above
-    the largest at most (den - 1) // num.
-    """
-    if num >= den:
-        return _power_at_most(num // den, base)[1]
-    return -1 - _power_at_most((den - 1) // num, base)[1]
-
-
 def extract_digits_rational(
     num: int, den: int, k: int, base: int = 10
 ) -> SignificantDigits:
-    """First k base-``base`` digits of the positive rational num/den, exactly."""
+    """First k base-``base`` digits of the positive rational num/den, exactly.
+
+    The exponent e is the largest with base**e <= num/den, and the digits are
+    floor(num/den * base**(k-1-e)), from one power of the base. At or above 1,
+    base**e is the largest power of the base at most num // den. Below 1,
+    base**-e is the least power of the base at least den / num, one above
+    the largest at most (den - 1) // num.
+    """
     check_base(base)
     check_position(k)
     if num == 0:
@@ -291,12 +277,13 @@ def extract_digits_rational(
     if num < 0 or den <= 0:
         raise DomainError("num/den must be a positive rational")
 
-    e = _integer_log(num, den, base)
-    shift = k - 1 - e
-    if shift >= 0:
-        leading = (num * base**shift) // den
+    if num >= den:
+        power, e = _power_at_most(num // den, base)
+        leading = num * base**(k - 1) // (den * power)
     else:
-        leading = num // (den * base**-shift)
+        power, j = _power_at_most((den - 1) // num, base)
+        e = -1 - j
+        leading = num * base**k * power // den
     digits = []
     for _ in range(k):
         leading, d = divmod(leading, base)
@@ -367,16 +354,18 @@ def _match_digit(m: re.Match[str], position: int, base: int) -> int:
     """``digit_at`` of the token a grammar match holds, at a position the
     caller has checked (``gof.count_digits`` checks it once per census).
 
-    In base 10 at position 1 the match's ``lead`` group, when set, is the
-    digit, with no digit parsed. Other base-10 tokens, zeros among them,
-    read their written digits (``_decimal_significand``, which raises
-    ZeroValue on a zero); no base-10 read builds a record or reads the
-    exponent. Other bases read the token's exact record."""
-    lead = m["lead"]
-    if lead is not None and position == 1 and base == 10:
-        return ord(lead) - 48  # an ASCII 1-9
+    In base 10 at position 1, a token whose first character past its sign,
+    ASCII zeros, point and commas is an ASCII 1-9 has that digit, with no
+    digit parsed. Other base-10 tokens, zeros among them, read their written
+    digits (``_decimal_significand``, which raises ZeroValue on a zero); no
+    base-10 read builds a record or reads the exponent. Other bases read the
+    token's exact record."""
     if base != 10:
         return digit_at(_decimal_from_match(m), position, base)
+    if position == 1:
+        c = m.group().lstrip("+-0.,")[:1]
+        if "1" <= c <= "9":
+            return ord(c) - 48
     int_part, frac, lone_frac = m.group("int", "frac", "lone_frac")
     written = (int_part or "").replace(",", "") + (frac or lone_frac or "")
     return _decimal_digit(_decimal_significand(written, 0)[0], position)

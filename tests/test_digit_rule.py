@@ -102,7 +102,7 @@ def _bases_and_digits(draw):
 @hypothesis.example((MAX_BASE, range(1, MAX_BASE)))
 def test_position_one_law_is_first_digit_prob_in_every_base(case):
     # The two spellings of log_base(1 + 1/d), bit for bit. The unwrapped
-    # function leaves the unbounded cache as it was.
+    # function leaves the cache as it was, so no other test's law is evicted.
     base, digits = case
     dist = marginal_distribution.__wrapped__(1, base)
     assert (dist.position, dist.support) == (1, digit_support(1, base))

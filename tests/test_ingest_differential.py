@@ -19,12 +19,15 @@ given, settings = hypothesis.given, hypothesis.settings
 # Zeros, words, empty and blank cells, comma-grouped numbers, four-digit
 # years for the skip pattern, Unicode digits (Arabic-Indic, fullwidth),
 # numerics that are not decimal digits (superscript two, one half), and
-# tokens a start-of-token lead digit read could misread: a sign before a
-# Unicode digit or zero, a comma or a second point among the zeros, and
-# zeros written without an integer part or a nonzero digit.
+# tokens the first-digit read off a token's text could misread: a sign
+# before a Unicode digit or zero, a Unicode digit after ASCII zeros and a
+# point, commas or a second point among the zeros, an exponent after a
+# zero mantissa, and zeros written without an integer part or a nonzero
+# digit.
 _CELLS = ["0", "0.00", "-0e5", "N/A", "abc", "x1", "", " ", " 7 ", "2,300", "1,234,567",
           "12,34", "1999", "-2.5E-3", ".5", "+7", "1e5x", "٣٣", "３.５", "²", "½",
-          "+٣", "-٠", "0٣", "0,5", "0,005", "-0,005.5", "0..5", ".0e7", "00.000", "+.5"]
+          "+٣", "-٠", "0٣", "0,5", "0,005", "-0,005.5", "0..5", ".0e7", "00.000", "+.5",
+          "0.0e5", "+0.00E-3", "0,000,005", "00,100", "-.0٣", "0.٠5"]
 _cell = st.one_of(
     st.sampled_from(_CELLS),
     st.integers(-10**9, 10**9).map(str),

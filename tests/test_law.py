@@ -162,6 +162,13 @@ class TestMarginal:
         with pytest.raises(DomainError):
             dist.prob(10)
 
+    def test_cache_is_bounded_and_holds_every_base_ten_position(self):
+        bound = marginal_distribution.cache_info().maxsize
+        assert MAX_EXTRACT_DIGITS <= bound < 100
+        for base in range(2, bound + 12):
+            marginal_distribution(1, base)
+        assert marginal_distribution.cache_info().currsize == bound
+
 
 class TestMoments:
     @pytest.mark.parametrize("k", range(1, 8))

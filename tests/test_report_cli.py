@@ -569,6 +569,23 @@ class TestSimulateCommand:
         assert out.out == ""
         assert out.err.startswith("error: ")
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError(), "MemoryError"),
+        (MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_is_one_error_line(self, exc, message, capsys, monkeypatch):
+        # The walkers' first array raises, as numpy does when it cannot
+        # allocate them; nothing large is ever allocated.
+        import numpy as np
+
+        def refuse(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(np, "full", refuse)
+        assert cli.main(["simulate", "--steps", "2", "--walkers", "10"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"error: {message}\n")
+
     def test_constant_noise_flat_curve(self, capsys):
         code = cli.main(
             ["simulate", "--noise", "constant:10", "--steps", "5",

@@ -1,5 +1,5 @@
 """Differential tests of the power-of-the-base search against a plain
-multiply loop, of the exact integer log and rational digit extraction
+multiply loop, of the rational reader's exponent and digits
 against a pure-integer oracle, over bases 2-MAX_BASE and exponents
 -400..400, of the base-10 digit read against the exact Fraction path, of
 the integer first digit and the integer stream reader against the rational
@@ -22,7 +22,6 @@ from benfordkit.significand import (
     MAX_EXTRACT_DIGITS,
     ExactDecimal,
     _first_digits,
-    _integer_log,
     _power_at_most,
     digit_at,
     extract_digits,
@@ -116,7 +115,7 @@ class TestIntegerLogDifferential:
     @hypothesis.example((1, MAX_BASE**40 + 1, MAX_BASE))
     def test_integer_log_matches_oracle(self, case):
         num, den, base = case
-        assert _integer_log(num, den, base) == _oracle_log(num, den, base)
+        assert extract_digits_rational(num, den, 1, base).exponent == _oracle_log(num, den, base)
 
     @settings(max_examples=200, deadline=None)
     @given(_rationals(), st.integers(1, MAX_EXTRACT_DIGITS))

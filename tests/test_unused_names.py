@@ -1,6 +1,7 @@
 """No dead names in the package.
 
-Every module-level function, class and assignment in ``src/benfordkit`` is
+Every module-level function, class and assignment in ``src/benfordkit``,
+and every method, property and class constant in a module-level class, is
 named somewhere else: in code under ``src/``, ``demos/`` or ``perfbench/``
 (a read, an attribute, an imported name, or a string that is the name or
 a part of a dotted one, as in ``__init__``'s export table and the probe's
@@ -39,10 +40,10 @@ def _references(tree: ast.AST) -> set[str]:
     return names
 
 
-def _definitions(tree: ast.Module) -> set[str]:
-    """The names a module binds at its top level by def, class or assignment."""
+def _definitions(body: list[ast.stmt]) -> set[str]:
+    """The names a module or class body binds by def, class or assignment."""
     names = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -61,7 +62,15 @@ def _named_outside_tests() -> set[str]:
 def test_every_module_level_name_is_named_outside_tests():
     named = _named_outside_tests()
     dead = [f"{path.stem}.{name}" for path in MODULES
-            for name in sorted(_definitions(_tree(path)) - named)]
+            for name in sorted(_definitions(_tree(path).body) - named)]
+    assert dead == []
+
+
+def test_every_class_body_name_is_named_outside_tests():
+    named = _named_outside_tests()
+    dead = [f"{path.stem}.{node.name}.{name}" for path in MODULES
+            for node in _tree(path).body if isinstance(node, ast.ClassDef)
+            for name in sorted(_definitions(node.body) - named)]
     assert dead == []
 
 
