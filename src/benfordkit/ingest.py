@@ -5,7 +5,9 @@ scientific notation included -- and parses it exactly, so 0.150 counts a
 first significant digit of 1 rather than a leading character of 0, and
 surrounding prose never causes an error. Tokens glued to letters ("A4",
 "v2.0") are not numbers and are left alone. What counts as standalone is
-decided in one place, the text scanner (``significand._SCAN``). A
+decided in one place, the text scanner (``significand._SCAN``). It
+enters the grammar only at a sign, a digit or a point, the characters a
+token can start with, so skipping every other position changes no match. A
 table cell is a token when the token grammar matches all of it.
 
 The token records (``scan_text``, ``read_table``) and the censuses
@@ -95,13 +97,19 @@ def scan_text(data: str | bytes, policy: ScanPolicy = ScanPolicy()) -> Iterator[
 
 
 def _records(reader: Iterator[list[str]]) -> Iterator[tuple[int, list[str]]]:
-    """(row number, row) for every non-empty record of a csv reader; a
-    record the reader cannot read raises FormatError naming its row."""
-    rowno = 0
+    """(row number, row) for every non-empty record of a csv reader. A
+    record whose width is not the first record's (the header's), or that
+    the reader cannot read, raises FormatError naming its row."""
+    rowno = width = 0
     try:
         for rowno, row in enumerate(reader, start=1):
-            if row:
-                yield rowno, row
+            if not row:
+                continue
+            if len(row) != width:
+                if width:
+                    raise FormatError(f"row {rowno}: expected {width} fields, got {len(row)}")
+                width = len(row)
+            yield rowno, row
     except csv.Error as exc:
         raise FormatError(f"row {rowno + 1}: {exc}") from None
 
@@ -138,16 +146,7 @@ def _table_rows(
             if header.index(name) in selected:
                 raise DomainError(f"column {name!r} selected twice")
             selected.append(header.index(name))
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        for rowno, row in records:
-            if len(row) != len(header):
-                raise FormatError(
-                    f"row {rowno}: expected {len(header)} fields, got {len(row)}"
-                )
-            yield rowno, row
-
-    return selected, rows()
+    return selected, records
 
 
 def read_table(

@@ -100,8 +100,12 @@ _GRAMMAR = r"""
 """
 
 # The text scanner on the same grammar. "Alphanumeric" is [^\W_], exactly
-# the characters str.isalnum accepts.
+# the characters str.isalnum accepts. Every match starts where the grammar
+# matches, so the first lookahead, which lets the engine pass in one step a
+# position where no token can start, cannot change a match as long as it
+# lists every first character of _GRAMMAR: a sign, a \d or a point.
 _SCANNER = r"""
+    (?= [\d.+\-] )              # where a token can start
     (?= (?P<tok> {grammar} ) )  # what search finds here; never re-entered
     (?! (?<=[^\W_]) [+-] )      # a sign alone touching a word: retry after it
     (?: (?<![^\W_]) (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour

@@ -1,7 +1,9 @@
 """Differential tests of the text scanner: one `finditer` of the scanner
 pattern per line against the search-and-resume scanner it replaced
-(`scan_oracle`), and the pattern's alphanumeric class against
-`str.isalnum` at every code point."""
+(`scan_oracle`), the scanner against its form without the token-start
+guard, the guard's class against the grammar's first characters, and the
+pattern's alphanumeric class against `str.isalnum`, both at every code
+point."""
 
 import re
 
@@ -9,7 +11,7 @@ import pytest
 
 import scan_oracle
 from benfordkit.ingest import ScanPolicy, scan_text
-from benfordkit.significand import _SCAN
+from benfordkit.significand import _GRAMMARS, _SCAN, _TOKEN
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -45,6 +47,45 @@ def test_fixed_lines_match_oracle(text, separators):
 def test_random_text_matches_oracle(text, separators):
     assert (_tokens(scan_text, text, separators)
             == _tokens(scan_oracle.scan_text, text, separators))
+
+
+# The oracle: the scanner without its first element, the token-start guard.
+_UNGUARDED = r"""
+    (?= (?P<tok> {grammar} ) )  # what search finds here; never re-entered
+    (?! (?<=[^\W_]) [+-] )      # a sign alone touching a word: retry after it
+    (?: (?<![^\W_]) (?P=tok) (?![^\W_]) (?P<alone>)  # no alphanumeric neighbour
+      | (?: [^\W_] | [.,+-] )+ )                     # else pass the run ("v2.0")
+"""
+_ORACLE = tuple(re.compile(_UNGUARDED.format(grammar=grammar), re.VERBOSE)
+                for grammar in _GRAMMARS)
+
+# A minus sign and a fullwidth plus look like signs but start no token.
+_GUARD_PIECES = _PIECES + ["−", "＋"]
+
+
+def _matches(pattern, text):
+    return [(m.span(), m.groupdict()) for m in pattern.finditer(text)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_GUARD_PIECES), st.characters()),
+                max_size=40).map("".join),
+       st.booleans())
+def test_guarded_scanner_matches_unguarded(text, separators):
+    assert _matches(_SCAN[separators], text) == _matches(_ORACLE[separators], text)
+
+
+@pytest.mark.parametrize("separators", [False, True])
+def test_guard_lists_every_token_start(separators):
+    """The scanner's first element is a lookahead on one class, and a
+    character is in it exactly when the grammar matches it followed by a
+    digit, i.e. when a token can start with it."""
+    guard = re.match(r"\s*\(\?=\s*(\[[^\]]*\])\s*\)", _SCAN[separators].pattern)
+    assert guard is not None
+    every = "".join(map(chr, range(0x110000)))
+    by_guard = [m.start() for m in re.finditer(guard.group(1), every)]
+    token = _TOKEN[separators].match
+    assert by_guard == [i for i, c in enumerate(every) if token(c + "5")]
 
 
 def test_alphanumeric_class_is_isalnum():
