@@ -18,16 +18,22 @@ which).
 
 Runs are deterministic per seed. The generator is counter-based
 (numpy's Philox, 4x64 with 10 rounds) and its name and the numpy version
-are pinned into run metadata for cross-platform reproducibility.
+are pinned into run metadata for cross-platform reproducibility. While a
+step is updated and counted, one helper thread draws the next step into
+the other of two buffers; the draws come from the one generator in the
+same order, so the stream and every output are those of a serial run.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from decimal import Context, Decimal
-from itertools import islice
+from itertools import cycle, islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -58,13 +64,21 @@ def _lognormal_term(v: float, mu: float, sigma: float) -> int:
     return (((a * d * f + c * e * b) << (_SCALE + 1)) // (b * d * f) + 1) >> 1
 
 
+def _uniform(rng: np.random.Generator, out: np.ndarray, lo: float, hi: float) -> None:
+    """rng.uniform(lo, hi, len(out)) into `out`: numpy's lo + (hi - lo) * u
+    from the same doubles u, so the two agree bit for bit."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
 class _Noise(NamedTuple):
     """One noise family. Each callable takes the arguments shown, then the
     family's parameters in the order of `params`."""
 
     params: tuple[str, ...]
     positive: Callable[..., bool]  # () -> every xi > 0, as multiplicative runs need
-    draw: Callable | None  # (rng, size) -> one step's draws; None: one shared xi
+    draw: Callable | None  # (rng, out) fills `out` with one step's draws; None: one shared xi
     xi: Callable  # (raw) -> xi, the additive increment
     ln_xi: Callable | None = None  # (raw) -> ln(xi), the multiplicative increment
     ln_xi_fixed: Callable | None = None  # (one draw) -> ln(xi) in units of 2**-_SCALE
@@ -76,7 +90,7 @@ _NOISE = {
         ("mu", "sigma"),
         rule=lambda mu, sigma: "lognormal sigma must be >= 0" if sigma < 0 else None,
         positive=lambda mu, sigma: True,
-        draw=lambda rng, size, mu, sigma: rng.standard_normal(size),
+        draw=lambda rng, out, mu, sigma: rng.standard_normal(out=out),
         xi=lambda raw, mu, sigma: np.exp(mu + sigma * raw),
         ln_xi=lambda raw, mu, sigma: mu + sigma * raw,
         ln_xi_fixed=_lognormal_term,
@@ -84,7 +98,7 @@ _NOISE = {
     "normal": _Noise(
         ("mu", "sigma"),
         positive=lambda mu, sigma: False,
-        draw=lambda rng, size, mu, sigma: rng.standard_normal(size),
+        draw=lambda rng, out, mu, sigma: rng.standard_normal(out=out),
         xi=lambda raw, mu, sigma: mu + sigma * raw,
     ),
     "uniform": _Noise(
@@ -92,7 +106,7 @@ _NOISE = {
         rule=lambda lo, hi: None if 0 < hi - lo < math.inf
         else "uniform noise requires lo < hi and a finite hi - lo",
         positive=lambda lo, hi: lo > 0,
-        draw=lambda rng, size, lo, hi: rng.uniform(lo, hi, size),
+        draw=_uniform,
         xi=lambda raw, lo, hi: raw,
         ln_xi=lambda raw, lo, hi: np.log(raw),
         ln_xi_fixed=lambda v, lo, hi: _ln(v),
@@ -209,11 +223,35 @@ def _generator(seed: int) -> np.random.Generator:
 def _draws(spec: ProcessSpec) -> Iterator[np.ndarray | None]:
     """Each step's raw draws, in step order and without end, from a new
     generator on the run's seed; None at every step of a draw-free family.
-    The walk and every catch-up replay read this one stream."""
+    The walk and every catch-up replay read this one stream. It fills two
+    (walkers,) buffers of its own in turn, so a yielded array stays valid
+    until the second `next()` after it."""
     rng = _generator(spec.seed)
     family, params = _NOISE[spec.noise.family], spec.noise.params
-    while True:
-        yield family.draw(rng, spec.walkers, *params) if family.draw else None
+    if family.draw is None:
+        yield from repeat(None)
+    for out in cycle(np.empty((2, spec.walkers))):
+        family.draw(rng, out, *params)
+        yield out
+
+
+def _draws_ahead(spec: ProcessSpec) -> Iterator[np.ndarray | None]:
+    """The first `spec.steps` items of `_draws(spec)`. For a drawing family,
+    one helper thread draws step t + 1 while the caller works on step t, so
+    the draw overlaps numpy passes that release the GIL too. Step t + 2
+    refills step t's buffer only once the caller has asked for step t + 1,
+    and so is done with step t. A draw-free family starts no thread."""
+    draws = _draws(spec)
+    if _NOISE[spec.noise.family].draw is None:
+        yield from islice(draws, spec.steps)
+        return
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(next, draws)
+        for t in range(1, spec.steps + 1):
+            raw = pending.result()  # re-raises a draw's own exception
+            if t < spec.steps:
+                pending = helper.submit(next, draws)
+            yield raw
 
 
 class _LogSums:
@@ -284,6 +322,20 @@ class _LogSums:
         return [self._digit(self.log_x0 + self.sums[i]) for i in walkers]
 
 
+@functools.lru_cache(maxsize=8)
+def _state_cap(base: int) -> float:
+    """The least double s with fl(s / ln base) >= _LOG_STATE_CAP. As
+    fl(s / ln base) grows with s, |s| < it exactly when |s / ln base| <
+    _LOG_STATE_CAP, and the census tests that with no division."""
+    ln_base = math.log(base)
+    s = _LOG_STATE_CAP * ln_base
+    while s / ln_base >= _LOG_STATE_CAP:
+        s = math.nextafter(s, 0.0)
+    while s / ln_base < _LOG_STATE_CAP:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 def _census(
     state: np.ndarray, spec: ProcessSpec, step: int, sums: _LogSums
 ) -> DigitCensus:
@@ -296,20 +348,27 @@ def _census(
     multiplicative states whose x is not finite or reaches 2**52 in
     magnitude, where a double keeps no fractional bits to place them by.
     """
-    base = spec.base
+    base, ln_base = spec.base, math.log(spec.base)
     if spec.kind == "multiplicative":
-        digits, unsure = _log_digits(state / math.log(base), base, BOUNDARY_GUARD)
+        # A state past the largest double times ln 2 overflows to an infinite
+        # x in base 2, which the cap below excludes.
+        with np.errstate(over="ignore"):
+            x = state / ln_base
+        digits, unsure = _log_digits(x, base, BOUNDARY_GUARD)
         # Only unsure walkers can be past the cap (their f is 0 or nan); one
         # past it keeps the digit 0, which the count below drops.
-        unsure = unsure[np.abs(state[unsure] / math.log(base)) < _LOG_STATE_CAP]
+        unsure = unsure[np.abs(state[unsure]) < _state_cap(base)]
         if len(unsure):
             digits[unsure] = sums.digits(unsure, step)
     else:
-        state = state[(state > 0) & (state < np.inf)]
-        x = np.log(state)
-        x /= math.log(base)
+        # A state that is not positive and finite has a nan or infinite x,
+        # which `_log_digits` never certifies: it keeps the digit 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.log(state)
+        x /= ln_base
         digits, unsure = _log_digits(x, base, BOUNDARY_GUARD)
-        for i in unsure.tolist():
+        kept = state[unsure]
+        for i in unsure[(kept > 0) & (kept < np.inf)].tolist():
             # The stored double is the exact state here; classify it exactly.
             num, den = float(state[i]).as_integer_ratio()
             digits[i] = extract_digits_rational(num, den, 1, base).first
@@ -327,13 +386,16 @@ def _walk(spec: ProcessSpec, each_step: Callable) -> Iterator[tuple[int, np.ndar
     update = family.ln_xi if multiplicative else family.xi
     x0 = math.log(spec.initial_value) if multiplicative else float(spec.initial_value)
     state = np.full(spec.walkers, x0)
-    for t, raw in zip(range(1, spec.steps + 1), _draws(spec)):
-        # Overflowing states become inf or nan; the census excludes them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = state + update(raw, *params)
-        each_step(raw)
-        if t in record:
-            yield t, state
+    # closing() ends the helper thread as soon as the walk ends, also when
+    # the caller closes it early.
+    with closing(_draws_ahead(spec)) as raws:
+        for t, raw in enumerate(raws, 1):
+            # Overflowing states become inf or nan; the census excludes them.
+            with np.errstate(over="ignore", invalid="ignore"):
+                state = state + update(raw, *params)
+            each_step(raw)
+            if t in record:
+                yield t, state
 
 
 def iterate_states(spec: ProcessSpec) -> Iterator[tuple[int, np.ndarray]]:

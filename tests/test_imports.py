@@ -1,6 +1,6 @@
 """What the package loads: every public name resolves on first use, a
-command imports numpy only when its work needs it, and none imports mpmath,
-which only the tests use."""
+command imports numpy only when its work needs it, none imports mpmath,
+which only the tests use, and only `simulate` imports concurrent.futures."""
 
 import importlib
 import os
@@ -91,7 +91,9 @@ class TestPublicSurface:
         assert getattr(cli, name) is getattr(simulate, name)
 
 
-_REPORT = "\nprint('loaded:', *(m for m in ('numpy', 'mpmath') if m in sys.modules))"
+# concurrent.futures is the simulator's alone (its draw thread).
+_REPORT = ("\nprint('loaded:', *(m for m in ('numpy', 'mpmath', 'concurrent.futures')"
+           " if m in sys.modules))")
 # Runs the command line on the arguments and prints its exit status alone.
 _MAIN = """import contextlib, io, sys
 from benfordkit import cli
@@ -105,7 +107,7 @@ print('status:', status)"""
 
 def _child(code: str, *argv: str) -> list[str]:
     """The stdout lines of a fresh interpreter that runs `code` and then
-    names which of numpy and mpmath it loaded."""
+    names which of numpy, mpmath and concurrent.futures it loaded."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", code + _REPORT, *argv], cwd=ROOT,
                             env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -140,9 +142,10 @@ def test_import_loads_neither(module):
       for name in ("prose.txt", "table.csv")
       for fmt in ("text", "json", "csv") for base in ("10", "16")],
     # The commands that need the libraries load them when they run.
-    (["simulate", "--walkers", "20", "--steps", "3"], " numpy"),
+    (["simulate", "--walkers", "20", "--steps", "3"], " numpy concurrent.futures"),
     # Every walker of this run is flagged and resolved exactly.
-    (["simulate", "--walkers", "20", "--steps", "3", "--noise", "constant:10"], " numpy"),
+    (["simulate", "--walkers", "20", "--steps", "3", "--noise", "constant:10"],
+     " numpy concurrent.futures"),
     (["generate", "primes", "--below", "100", "--census"], " numpy"),
     (["generate", "pascal", "--rows", "50", "--census"], " numpy"),
     (["expected", "--table", "corr"], " numpy"),

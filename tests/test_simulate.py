@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -361,6 +363,78 @@ class TestBoundaryCost:
         assert terms == []
 
 
+class TestHelperThread:
+    """A drawing family's next step is drawn on one helper thread, which
+    every way out of a run ends; a draw-free family starts none."""
+
+    def test_full_run_ends_the_thread(self):
+        baseline = threading.active_count()
+        run_ensemble(mult_spec())
+        assert threading.active_count() == baseline
+
+    def test_closing_after_the_first_step_ends_the_thread(self):
+        baseline = threading.active_count()
+        states = iterate_states(mult_spec())
+        next(states)
+        assert threading.active_count() == baseline + 1
+        states.close()
+        assert threading.active_count() == baseline
+
+    def test_draw_error_reaches_the_caller(self, monkeypatch):
+        class DrawError(Exception):
+            pass
+
+        row = simulate._NOISE["lognormal"]
+        calls = []
+
+        def draw(rng, out, *params):
+            calls.append(len(out))
+            if len(calls) == 3:
+                raise DrawError("step 3")
+            row.draw(rng, out, *params)
+
+        monkeypatch.setitem(simulate._NOISE, "lognormal", row._replace(draw=draw))
+        baseline = threading.active_count()
+        with pytest.raises(DrawError, match="step 3"):
+            run_ensemble(mult_spec())
+        assert len(calls) == 3
+        assert threading.active_count() == baseline
+
+    def test_error_in_the_walk_ends_the_thread(self):
+        # The thread ends at once, while the traceback still holds the walk.
+        def fail(raw):
+            raise ArithmeticError("update")
+
+        baseline = threading.active_count()
+        with pytest.raises(ArithmeticError, match="update") as error:
+            list(simulate._walk(mult_spec(), fail))
+        assert error.tb is not None
+        assert threading.active_count() == baseline
+
+    def test_a_slow_step_keeps_its_draws(self, monkeypatch):
+        # Each update waits before it reads its step's draws, long enough
+        # for the helper to draw the next step: that draw must go to the
+        # other buffer. The oracle draws its own stream.
+        row = simulate._NOISE["normal"]
+
+        def slow_xi(raw, *params):
+            time.sleep(0.002)
+            return row.xi(raw, *params)
+
+        monkeypatch.setitem(simulate._NOISE, "normal", row._replace(xi=slow_xi))
+        spec = ProcessSpec("additive", NoiseSpec("normal", (0.5, 2.0)), 12, 1000, seed=6)
+        for (t, state), (u, want) in zip(iterate_states(spec), replay_oracle.states(spec),
+                                         strict=True):
+            assert t == u
+            assert state.tobytes() == want.tobytes()
+
+    def test_constant_run_starts_no_thread(self):
+        baseline = threading.active_count()
+        spec = mult_spec(noise=NoiseSpec("constant", (10.0,)))
+        for _ in iterate_states(spec):
+            assert threading.active_count() == baseline
+
+
 class TestAdditiveFromNonPositiveStart:
     """An additive run may start at 0 or below, where ln(x0) does not
     exist; the exact path's logs belong to multiplicative runs alone."""
@@ -389,6 +463,12 @@ class TestHugeStates:
             assert census.sample_size == 0
             assert census.exclusions == 5
         assert convergence_curve(spec) == []
+
+    def test_state_past_the_largest_double_times_ln_2_warns_nothing(self):
+        # Its x = state / ln 2 overflows; the census excludes it silently.
+        spec = mult_spec(noise=NoiseSpec("lognormal", (1.5e308, 0.0)), steps=1, walkers=5,
+                         base=2)
+        assert run_ensemble(spec)[0][1].exclusions == 5
 
     def test_cap_on_log_base_state(self):
         spec = mult_spec(walkers=6)

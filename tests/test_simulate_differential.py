@@ -8,7 +8,10 @@ pow-and-gap classifier run on every walker, on states at and around digit
 boundaries, guard bands and cell edges in bases 2-64, 300 and 100,000. The
 float digit reader both the simulator and Pascal's digits use,
 `significand._log_digits`, and its cell table are checked here too, under
-both callers' bounds, against a 60-digit reading of each double."""
+both callers' bounds, against a 60-digit reading of each double. The
+table's draws into the stream's own buffers are checked against numpy's
+sized draws, and the census's 2**52 cap threshold against the division it
+replaces."""
 
 import math
 from unittest import mock
@@ -151,6 +154,71 @@ class TestNoiseTableMatchesReference:
             for v in raw.tolist():
                 want = replay_oracle._log_increment_mp(v, spec) * mpmath.mpf(2) ** 256
                 assert abs(term(v, *spec.params) - want) <= 1
+
+
+def _bits(values: np.ndarray) -> list[int]:
+    return values.view(np.int64).tolist()
+
+
+class TestDrawsIntoBuffers:
+    """Each row's draw fills a buffer the stream owns; on the same Philox
+    seed it gives numpy's own sized draw bit for bit, which
+    `replay_oracle` takes as the reference."""
+
+    @pytest.mark.parametrize("family", ["lognormal", "normal"])
+    def test_standard_normal(self, family):
+        out = np.empty(1000)
+        simulate._NOISE[family].draw(simulate._generator(7), out, 0.5, 2.0)
+        assert _bits(out) == _bits(simulate._generator(7).standard_normal(1000))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([-1e300, 1e300, -0.75, -5e-324]),
+           ulps=st.integers(1, 6),
+           width=st.none() | st.floats(min_value=5e-324, allow_infinity=False),
+           seed=st.integers(0, 2**32))
+    # |lo| near 1e300 with a finite range, and a range of a few ulps of lo.
+    @example(lo=-1e300, ulps=1, width=1.5e300, seed=0)
+    @example(lo=1e300, ulps=3, width=None, seed=0)
+    @example(lo=-3.5, ulps=2, width=None, seed=0)
+    def test_uniform(self, lo, ulps, width, seed):
+        hi = lo + (ulps * math.ulp(lo) if width is None else width)
+        hypothesis.assume(math.isfinite(hi) and 0 < hi - lo < math.inf)
+        NoiseSpec("uniform", (lo, hi))  # the row's own rule admits (lo, hi)
+        out = np.empty(257)
+        simulate._NOISE["uniform"].draw(simulate._generator(seed), out, lo, hi)
+        assert _bits(out) == _bits(simulate._generator(seed).uniform(lo, hi, 257))
+
+    def test_a_step_stays_valid_until_the_second_next(self):
+        draws = simulate._draws(ProcessSpec("additive", NoiseSpec("normal", (0.0, 1.0)),
+                                            3, 50, seed=4))
+        first = next(draws)
+        kept = first.copy()
+        second = next(draws)
+        assert _bits(first) == _bits(kept)
+        assert not np.shares_memory(first, second)
+        # The third step refills the first step's buffer: no array per step.
+        assert np.shares_memory(next(draws), first)
+
+
+class TestStateCap:
+    """The census's cap test, |s| < _state_cap(base), against the division
+    it replaces, |s / ln base| < 2**52: at and next to the threshold, at
+    +-0, nan and +-inf, and at any double, in bases 2 to MAX_BASE."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.integers(2, MAX_BASE) | st.sampled_from([2, 10, MAX_BASE]),
+           ulps=st.integers(-4, 4), other=st.floats())
+    @example(base=10, ulps=0, other=0.0)
+    def test_threshold_matches_division(self, base, ulps, other):
+        cap, ln_base = simulate._state_cap(base), math.log(base)
+        near = _nudge(cap, ulps)
+        state = np.array([near, -near, other, 0.0, -0.0, math.nan, math.inf, -math.inf])
+        with np.errstate(over="ignore"):
+            divided = np.abs(state / ln_base) < _LOG_STATE_CAP
+        assert (np.abs(state) < cap).tolist() == divided.tolist()
+        # The threshold is the least double past the cap.
+        assert cap / ln_base >= _LOG_STATE_CAP > math.nextafter(cap, 0.0) / ln_base
 
 
 class TestExactDigitMatchesSnapRule:
