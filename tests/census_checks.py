@@ -1,13 +1,15 @@
-"""Six command outputs checked against counts made with the standard library.
+"""Eight command outputs checked against counts made with the standard library.
 
 Each check runs one `benford` command through `benfordkit.cli.main` and
 compares its stdout with the same census counted from exact integers
-(math.comb, math.factorial, a bytearray sieve) and a plain search over
-powers of the base, or, for the simulator, with the census that a constant
-multiplier of 16 in base 16 must give. The digits under test come from
-float paths that depend on the platform's numpy and libm: Pascal's float
-read, whose uncertain terms are read by math.comb; the float log2 bound that
-starts each power-of-the-base search; the sieve's array count; and the
+(math.comb, math.factorial, n**k, a bytearray sieve) and a plain search
+over powers of the base, or, for the simulator, with the census that a
+constant multiplier of 16 in base 16 must give. The digits under test come
+from float paths that depend on the platform's numpy and libm: Pascal's
+float read, whose uncertain terms are read by math.comb; the float log2
+bound that starts each power-of-the-base search; the float root that seeds
+each jump over a run of n**k; the segmented sieve's run counts, in base 7
+and in base 100000, where every prime starts its own run; and the
 simulator's near-cell routing in significand._log_digits.
 
 Run from outside the checkout, it checks the installed package; it needs
@@ -60,6 +62,9 @@ CHECKS = {
     "primes-base-7": (
         ["generate", "primes", "--below", "100000", "--base", "7", "--census"],
         lambda: _census_csv(_primes_below(100000), 7)),
+    "primes-base-100000": (
+        ["generate", "primes", "--below", "100000", "--base", "100000", "--census"],
+        lambda: _census_csv(_primes_below(100000), 100000)),
     "power-alpha-base-7": (
         ["generate", "power-alpha", "--alpha", "1007/1000", "--n", "2000", "--base", "7",
          "--census"],
@@ -67,6 +72,9 @@ CHECKS = {
     "factorial-base-7": (
         ["generate", "factorial", "--n", "300", "--base", "7", "--census"],
         lambda: _census_csv(map(math.factorial, range(1, 301)), 7)),
+    "power-n-base-7": (
+        ["generate", "power-n", "--k", "7", "--n", "3000", "--base", "7", "--census"],
+        lambda: _census_csv((n**7 for n in range(1, 3001)), 7)),
     "pascal-base-16": (
         ["generate", "pascal", "--rows", "300", "--base", "16", "--census"],
         lambda: _census_csv(_pascal(300), 16)),

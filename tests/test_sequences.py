@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +8,7 @@ import pytest
 
 from benfordkit import sequences
 from benfordkit.errors import DomainError
+from benfordkit.gof import DigitCensus
 from benfordkit.sequences import (
     DEFAULT_FIBONACCI_SEEDS,
     DEFAULT_FIBONACCI_TERMS,
@@ -79,11 +81,27 @@ class TestPrimes:
         def sieve(bound):
             raise AssertionError("sieved before the base was checked")
 
-        monkeypatch.setattr(sequences, "_sieve", sieve)
+        monkeypatch.setattr(sequences, "_sieve_segments", sieve)
         with pytest.raises(DomainError, match="base"):
             next(prime_digits(PRIME_BOUND_CAP, 1))
         with pytest.raises(DomainError, match="bound"):
             next(prime_digits(1, 1))
+
+    def test_census_below_ten_million_peaks_under_4_mb(self):
+        """The sieve holds one segment of flags at a time, and each block one
+        segment's digits: the whole census's traced peak stays under 4 MB
+        (an array of the 664,579 primes alone would take 5.3 MB)."""
+        spec = SequenceSpec("primes", {"below": 10**7}, 10)
+        # A small census first, so that importing numpy is not traced.
+        DigitCensus.from_blocks(SequenceSpec("primes", {"below": 100}, 10).digit_blocks())
+        tracemalloc.start()
+        try:
+            census = DigitCensus.from_blocks(spec.digit_blocks(), 1, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census.sample_size == 664_579
+        assert peak < 4 * 2**20, peak
 
     def test_primality_oracle(self):
         primes = set(prime_values(500))
@@ -118,6 +136,14 @@ class TestNPower:
             list(n_power_values(0, 5))
         with pytest.raises(DomainError):
             list(n_power_values(2, 0))
+
+    @pytest.mark.parametrize("k, n_max, base, message", [
+        (0, 0, 1, "exponent"), (1, 0, 1, "n_max"), (1, 1, 1, "base >= 2"),
+        (1, 1, 2**20, "base <= 100000")])
+    def test_digits_check_k_then_n_max_then_base_at_first_next(self, k, n_max, base, message):
+        stream = n_power_digits(k, n_max, base)
+        with pytest.raises(DomainError, match=message.replace(" ", ".*")):
+            next(stream)
 
 
 class TestPascal:

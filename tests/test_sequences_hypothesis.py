@@ -5,9 +5,12 @@ series, in bases 2-64, read by the running-power reader. Each series read
 by its structure has its own: the running-power reader over jumps of up to
 400 digits, the certified float read of Pascal's rows against
 ``math.comb`` (and, past a few hundred rows, against rows built by the
-additive rule) in bases up to MAX_BASE, the odd-only sieve against a sieve
-over all integers, and the sieve's int64 read of the primes against the
-running-power reader in bases up to MAX_BASE. The block census of primes
+additive rule) in bases up to MAX_BASE, n**k's stepped and jumped runs
+(also with the jump forced on and off) against exact extraction in bases
+up to MAX_BASE, and the segmented sieve, under segments of a few dozen
+to a few thousand flags and at its own size, against a sieve over all
+integers, its primes as they are and their digits read exactly in bases up
+to MAX_BASE. The block census of primes
 and Pascal equals a count of their public int streams, and ``generate``
 prints, as its stream and its census, the exact digits of every kind's
 values."""
@@ -19,6 +22,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +31,8 @@ from benfordkit import cli, sequences
 from benfordkit.errors import DomainError, ZeroValue
 from benfordkit.gof import DigitCensus
 from benfordkit.sequences import (
-    SequenceSpec, alpha_power_digits, pascal_digits, prime_digits, prime_values)
+    SequenceSpec, alpha_power_digits, n_power_digits, pascal_digits, prime_digits,
+    prime_values)
 from benfordkit.significand import MAX_BASE, _first_digits, extract_digits_rational
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -90,7 +95,7 @@ _INTEGER_SERIES = {
                   "terms": st.integers(1, 1500)},
     "primes": {"below": st.integers(2, 20000)},
     "factorial": {"n": st.integers(1, 400)},
-    "power_n": {"k": st.integers(1, 60), "n": st.integers(1, 400)},
+    "power_n": {"k": st.integers(1, 60), "n": st.integers(1, 5000)},
     "pascal": {"rows": st.integers(1, 90)},
 }
 
@@ -117,6 +122,53 @@ class TestIntegerSeriesDifferential:
 
 def _first(value: int, base: int) -> int:
     return extract_digits_rational(abs(int(value)), 1, 1, base).first
+
+
+@st.composite
+def _power_cases(draw):
+    """(k, n, base): k up to 60, n up to 5000, a base up to MAX_BASE."""
+    return draw(st.integers(1, 60)), draw(st.integers(1, 5000)), draw(_BASES)
+
+
+class TestNPowerDifferential:
+    """n**k's digits, stepped and jumped run by run, against exact extraction
+    of every term."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_power_cases())
+    # Terms on a boundary: n = base**j, and (d + 1) * base**e an exact k-th
+    # power, as 20**2 = 400, 20**3 = 8000 and 1000**2 = 10 * MAX_BASE.
+    @example((1, 5000, 10))
+    @example((2, 400, 10))
+    @example((3, 5000, 10))
+    @example((1, 5000, 2))
+    @example((2, 5000, 16))
+    @example((7, 3000, 7))
+    @example((1, 5000, MAX_BASE))
+    @example((2, 5000, MAX_BASE))
+    @example((60, 5000, 99_991))
+    def test_matches_exact_rational_extraction(self, case):
+        k, n, base = case
+        assert list(n_power_digits(k, n, base)) == [
+            _first(i**k, base) for i in range(1, n + 1)]
+
+    @pytest.mark.parametrize("off, jump", [
+        (0, -math.inf), (3, -math.inf), (-3, -math.inf), (0, math.inf),
+    ], ids=["always-jump", "always-jump-estimate-3-over", "always-jump-estimate-3-under",
+            "never-jump"])
+    @settings(max_examples=15, deadline=None)
+    @given(case=_power_cases())
+    @example(case=(1, 5000, 10))
+    @example(case=(2, 400, 10))
+    def test_forced_path_gives_the_exact_stream(self, off, jump, case):
+        """Every run jumped, from the estimate or from 3 terms past or short
+        of it, which the exact powers must fix; or every term stepped."""
+        k, n, base = case
+        estimate = sequences._root_estimate
+        with mock.patch.object(sequences, "_root_estimate", lambda *a: estimate(*a) + off), \
+                mock.patch.object(sequences, "_JUMP", jump):
+            digits = list(n_power_digits(k, n, base))
+        assert digits == [_first(i**k, base) for i in range(1, n + 1)]
 
 
 @st.composite
@@ -247,33 +299,13 @@ class TestPascalDifferential:
             next(stream)
 
 
-# Largest sieve bound a prime example may draw; it keeps one to a few
-# tens of milliseconds.
-MAX_PRIME_BOUND = 2_000_001
-
-
-@st.composite
-def _prime_cases(draw):
-    """(below, base): base in 65..MAX_BASE and below at or next to a power
-    of it, base**k - 1, base**k or base**k + 1; or below 2 or 3."""
-    base = draw(st.one_of(st.integers(65, 200), st.integers(65, MAX_BASE)))
-    if draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from((2, 3))), base
-    k = draw(st.integers(1, max(k for k in (1, 2, 3) if base**k < MAX_PRIME_BOUND)))
-    return base**k + draw(st.sampled_from((-1, 0, 1))), base
-
-
-class TestSieveDigitsDifferential:
-    @settings(max_examples=60, deadline=None)
-    @given(_prime_cases())
-    @example((2, 65))
-    @example((3, MAX_BASE))
-    @example((68, 67))
-    @example((99_992, 99_991))
-    @example((MAX_BASE + 1, MAX_BASE))
-    def test_matches_running_power_reader(self, case):
-        below, base = case
-        assert list(prime_digits(below, base)) == list(_first_digits(prime_values(below), base))
+# Largest sieve bound a prime example may draw. Under a segment of a few
+# dozen flags it crosses thousands of segments, and the sieve of the small
+# primes below its square root crosses several.
+MAX_PRIME_BOUND = 200_000
+# Segments of a few dozen flags, where a run of one digit often spans
+# segments, or of thousands, where one segment holds long runs whole.
+_SEGMENTS = st.one_of(st.integers(16, 64), st.sampled_from((1024, 4096)))
 
 
 def _plain_sieve(bound: int) -> list[int]:
@@ -285,22 +317,89 @@ def _plain_sieve(bound: int) -> list[int]:
     return [n for n in range(bound) if flags[n]]
 
 
+@st.composite
+def _prime_cases(draw):
+    """(below, base, segment): a base up to MAX_BASE, often 2, 3, 10, 16,
+    99,991 or MAX_BASE; below one off or at a digit boundary d * base**e, a
+    segment edge, or anywhere up to MAX_PRIME_BOUND; a segment of a few
+    dozen or a few thousand flags."""
+    base = draw(st.one_of(st.sampled_from((2, 3, 10, 16, 99_991, MAX_BASE)), _BASES))
+    segment = draw(_SEGMENTS)
+    where = draw(st.sampled_from(("boundary", "edge", "anywhere")))
+    if where == "boundary":
+        e = draw(st.integers(0, max(e for e in range(18) if base**e < MAX_PRIME_BOUND)))
+        below = min(draw(st.integers(1, base - 1)) * base**e, MAX_PRIME_BOUND)
+    elif where == "edge":
+        below = 2 * segment * draw(st.integers(1, MAX_PRIME_BOUND // (2 * segment)))
+    else:
+        below = draw(st.integers(2, MAX_PRIME_BOUND))
+    return max(2, below + draw(st.sampled_from((-1, 0, 1)))), base, segment
+
+
+class TestSieveDigitsDifferential:
+    """The digits read off the segmented sieve's flags against a sieve over
+    all integers read by exact extraction, under segments of a few dozen or
+    a few thousand flags, and under the module's own segment."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(_prime_cases())
+    @example((2, 10, 16))
+    @example((3, 2, 16))
+    @example((4, 3, 16))
+    @example((10, 10, 16))
+    # Digit boundaries on segment edges: 100 numbers a segment puts every
+    # d * 10**e past 100, and MAX_BASE, on one; 64 numbers every power of 2
+    # and of 16 from 64 on; 3**4 = 81 is the first number of a segment of 40.
+    @example((MAX_PRIME_BOUND, 10, 50))
+    @example((MAX_PRIME_BOUND, MAX_BASE, 50))
+    @example((MAX_PRIME_BOUND, 2, 32))
+    @example((MAX_PRIME_BOUND, 16, 32))
+    @example((MAX_PRIME_BOUND, 3, 40))
+    @example((10**5 - 1, 10, 40))
+    @example((10**5, 10, 40))
+    @example((10**5 + 1, 10, 40))
+    @example((99_992, 99_991, 64))
+    @example((MAX_PRIME_BOUND, 99_991, 64))
+    # Long runs inside one segment: 2048 and 8192 numbers a segment.
+    @example((MAX_PRIME_BOUND, 2, 1024))
+    @example((MAX_PRIME_BOUND, 3, 4096))
+    @example((MAX_PRIME_BOUND, 10, 4096))
+    def test_blocks_match_plain_sieve(self, case):
+        below, base, segment = case
+        with mock.patch.object(sequences, "_SEGMENT", segment):
+            digits = list(prime_digits(below, base))
+        assert digits == [_first(p, base) for p in _plain_sieve(below)]
+
+    def test_module_segments_match_plain_sieve(self):
+        """Below 2,100,000 the module's own segments of 2**19 flags number
+        three; 2**20 and 2**21 sit one below the first number of the second
+        and of the third."""
+        primes = _plain_sieve(2_100_000)
+        for base in (2, 3, 10, 16):
+            assert list(prime_digits(2_100_000, base)) == [_first(p, base) for p in primes]
+
+
 class TestSieveDifferential:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 20000))
+    @given(st.integers(2, 20000), _SEGMENTS)
     # 2 and 3 give [] and [2]; p**2 and p**2 + 1 for odd p put p**2 just
     # outside and just inside the range, where the odd-only sieve starts.
-    @example(2)
-    @example(3)
-    @example(4)
-    @example(9)
-    @example(10)
-    @example(25)
-    @example(26)
-    @example(49)
-    @example(121)
-    def test_matches_sieve_over_all_integers(self, bound):
-        assert list(prime_values(bound)) == _plain_sieve(bound)
+    @example(2, 16)
+    @example(3, 16)
+    @example(4, 16)
+    @example(9, 16)
+    @example(10, 16)
+    @example(25, 16)
+    @example(26, 16)
+    @example(49, 16)
+    @example(121, 16)
+    # The last segment full, and one flag into the next.
+    @example(2 * 16 * 7, 16)
+    @example(2 * 16 * 7 + 2, 16)
+    def test_matches_sieve_over_all_integers(self, bound, segment):
+        with mock.patch.object(sequences, "_SEGMENT", segment):
+            primes = list(prime_values(bound))
+        assert primes == _plain_sieve(bound)
 
 
 @st.composite
@@ -317,7 +416,7 @@ class TestBlockCensusDifferential:
     @given(_block_cases())
     @example(SequenceSpec("primes", {"below": 2}, 10))
     @example(SequenceSpec("primes", {"below": 100}, MAX_BASE))
-    @example(SequenceSpec("primes", {"below": 10**6}, 10))  # two blocks
+    @example(SequenceSpec("primes", {"below": 2_100_000}, 10))  # three blocks
     @example(SequenceSpec("pascal", {"rows": 1}, 2))
     @example(SequenceSpec("pascal", {"rows": 400}, MAX_BASE))
     def test_matches_a_count_of_the_public_stream(self, spec):
